@@ -123,7 +123,7 @@ type WorkloadResult struct {
 	Steals     int64   `json:"steals"`
 	Batches    int64   `json:"batches"`
 	// Stages is the per-stage latency breakdown of the steady-state
-	// window, from the lifecycle tracer's sampled requests (schema v2).
+	// window, over every retrieved request (schema v2).
 	// Quantiles are interpolated within histogram buckets
 	// (obs.QuantileInterp), so they are smooth estimates rather than
 	// power-of-two upper bounds. Only stages with samples appear.
@@ -243,10 +243,7 @@ func workloads(quick bool) []workload {
 		{
 			name: "large_bw", mode: "closed_loop",
 			submitters: 2, pollers: 1, size: 4 << 20, batch: 1,
-			// Low request rate (a few thousand 4 MB ops/s): a denser shift
-			// than the 1/128 default so short windows still land samples.
-			opts: realtime.Options{NumReqs: 16, Controllers: 4, StagingShards: 2, ChunkBytes: 256 << 10,
-				TraceSampleShift: 3},
+			opts: realtime.Options{NumReqs: 16, Controllers: 4, StagingShards: 2, ChunkBytes: 256 << 10},
 		},
 		{
 			name: "mixed", mode: "closed_loop",
@@ -258,12 +255,7 @@ func workloads(quick bool) []workload {
 			name: "open_loop", mode: "open_loop",
 			submitters: 2, pollers: 1, size: 4 << 10, batch: 8,
 			targetRate: rate,
-			// Sampling is per slot (1 in 2^k uses of that slot), so a
-			// low-rate paced workload needs a denser shift than the 1/128
-			// default to land samples inside a short measure window — at
-			// 20-50k ops/s the tracing cost is irrelevant anyway.
-			opts: realtime.Options{NumReqs: 256, Controllers: 2, StagingShards: 2,
-				TraceSampleShift: 3},
+			opts:       realtime.Options{NumReqs: 256, Controllers: 2, StagingShards: 2},
 		},
 		{
 			// The uncontended reference: the overload workload's foreground
@@ -273,8 +265,7 @@ func workloads(quick bool) []workload {
 			classMix: []classLoad{
 				{class: realtime.ClassForeground, submitters: 2, size: 4 << 10, batch: 1, rate: rate / 2},
 			},
-			opts: realtime.Options{NumReqs: 64, Controllers: 2, StagingShards: 2,
-				TraceSampleShift: 3},
+			opts: realtime.Options{NumReqs: 64, Controllers: 2, StagingShards: 2},
 		},
 		{
 			// Priority isolation under overload: the same paced foreground
@@ -291,7 +282,7 @@ func workloads(quick bool) []workload {
 				{class: realtime.ClassScavenger, submitters: 4, size: 1 << 20, batch: 4},
 			},
 			opts: realtime.Options{NumReqs: 64, Controllers: 2, StagingShards: 2,
-				ChunkBytes: 256 << 10, TraceSampleShift: 3,
+				ChunkBytes: 256 << 10,
 				// A deep outlier ring: every breaching foreground request
 				// of the run must still be present at the end (validated
 				// against the breach counter — the tail-forensics
@@ -306,8 +297,7 @@ func workloads(quick bool) []workload {
 			classMix: []classLoad{
 				{class: realtime.ClassForeground, submitters: 2, size: 4 << 10, batch: 1, rate: rate / 2},
 			},
-			opts: realtime.Options{NumReqs: 128, Controllers: 2, StagingShards: 2,
-				TraceSampleShift: 3},
+			opts: realtime.Options{NumReqs: 128, Controllers: 2, StagingShards: 2},
 		},
 		{
 			// The always-notify ablation: identical load with inline
@@ -319,7 +309,7 @@ func workloads(quick bool) []workload {
 				{class: realtime.ClassForeground, submitters: 2, size: 4 << 10, batch: 1, rate: rate / 2},
 			},
 			opts: realtime.Options{NumReqs: 128, Controllers: 2, StagingShards: 2,
-				TraceSampleShift: 3, QoS: realtime.QoSOptions{InlineThreshold: -1}},
+				QoS: realtime.QoSOptions{InlineThreshold: -1}},
 		},
 	}
 }
@@ -332,7 +322,7 @@ func main() {
 	quick := flag.Bool("quick", false, "short warmup/measure windows (CI smoke)")
 	out := flag.String("o", "BENCH_realtime.json", "output path for the JSON report (\"-\" for stdout only)")
 	validatePath := flag.String("validate", "", "validate an existing report file and exit")
-	httpAddr := flag.String("http", "", "serve /metrics, /trace and /debug/pprof on this address while benchmarking")
+	httpAddr := flag.String("http", "", "serve /metrics, /debug/outliers and /debug/pprof on this address while benchmarking")
 	flag.Parse()
 
 	if *validatePath != "" {
@@ -352,13 +342,6 @@ func main() {
 				return nil
 			}
 			return obshttp.RealtimeMetrics("bench", d.Stats())
-		})
-		h.RegisterTrace("membench", func() []lifecycle.Lifecycle {
-			d := liveDevice.Load()
-			if d == nil {
-				return nil
-			}
-			return d.Stats().Lifecycle.Captured
 		})
 		h.RegisterOutliers("membench", func() flight.Snapshot {
 			d := liveDevice.Load()
@@ -712,8 +695,8 @@ func validate(rep Report) error {
 		}
 	}
 	if rep.Version >= 2 {
-		// The lifecycle tracer samples by default; a report with no stage
-		// attribution anywhere means tracing silently broke.
+		// Every retrieved request feeds the stage spans; a report with no
+		// stage attribution anywhere means the stamping path broke.
 		any := false
 		for _, w := range rep.Workloads {
 			if len(w.Stages) > 0 {

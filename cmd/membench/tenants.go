@@ -6,8 +6,10 @@
 //     symmetric round-robin load and measures Jain's fairness index over
 //     per-tenant completions. The trio phase then keeps all three
 //     weighted tenants saturated at quotas well past the chunk rings'
-//     capacity, so the DRR scheduler — not the offered load — sets their
-//     completion shares, which must land within 10% of the weight ratio.
+//     capacity, with the controllers throttled by a chaos hook so the
+//     device drains slower than the submitter refills on any host, and
+//     the DRR scheduler — not the offered load — sets their completion
+//     shares, which must land within 10% of the weight ratio.
 //     (The phases are sequential on purpose: with 1k tenants sweeping,
 //     the cohort exhausts the request slab and the trio would be
 //     arrival-limited, measuring the harness instead of the scheduler.)
@@ -119,8 +121,19 @@ func runTenantFairness(quick bool, res *TenantsResult) {
 	if quick {
 		warmup, window = 200*time.Millisecond, 400*time.Millisecond
 	}
+	// Phase 2 throttles the controllers so the device, not the lone
+	// submitter, is the bottleneck on any host: DRR can only decide
+	// shares while every weighted tenant's bucket stays backlogged.
+	var throttle atomic.Bool
 	d := realtime.Open(realtime.Options{
 		NumReqs: 512, Controllers: 2, StagingShards: 2, ChunkBytes: 8 << 10,
+		Chaos: &realtime.ChaosHooks{
+			BeforeChunkCopy: func(idx uint32, off, end int) {
+				if throttle.Load() {
+					time.Sleep(20 * time.Microsecond)
+				}
+			},
+		},
 	})
 	defer d.Close()
 
@@ -216,8 +229,10 @@ func runTenantFairness(quick bool, res *TenantsResult) {
 	// Phase 2 — weighted shares. One submitter keeps all three weighted
 	// tenants saturated near quota with chunked transfers; three quotas
 	// times four chunks each is several times the chunk rings' capacity,
-	// so dispatch backpressure reaches the submission queues and DRR
-	// arbitration — not arrival order — decides the shares.
+	// and the throttled controllers drain slower than the submitter
+	// refills, so dispatch backpressure reaches the submission queues and
+	// DRR arbitration — not arrival order — decides the shares.
+	throttle.Store(true)
 	var stopTrio atomic.Bool
 	var twg sync.WaitGroup
 	twg.Add(1)

@@ -16,9 +16,10 @@
 //	memif-trace -check-outliers outliers.json
 //
 // With -serve the tool exercises all three instrumented subsystems (a
-// realtime burst with full lifecycle capture, a swap-out scenario, a
-// streaming run) and serves their combined observability over HTTP:
-// /metrics (Prometheus text format), /trace (Chrome trace_event JSON
+// realtime burst with a few chaos-delayed outliers, a swap-out scenario,
+// a streaming run) and serves their combined observability over HTTP:
+// /metrics (Prometheus text format), /debug/outliers (flight-recorder
+// JSON), /debug/outliers/trace (the outliers as Chrome trace_event JSON
 // for chrome://tracing or Perfetto), /debug/pprof/*. The -check-*
 // modes validate files scraped from those endpoints, for CI.
 //
@@ -58,10 +59,10 @@ func main() {
 	rtControllers := flag.Int("rt-controllers", 0, "realtime: transfer controllers (0 = default)")
 	rtChunk := flag.Int("rt-chunk", 0, "realtime: chunk bytes (0 = default, <0 disables chunking)")
 	rtTrace := flag.Int("rt-trace", 32, "realtime: event-trace ring depth (0 disables)")
-	serveAddr := flag.String("serve", "", "serve /metrics, /trace and /debug/pprof on this address")
+	serveAddr := flag.String("serve", "", "serve /metrics, /debug/outliers and /debug/pprof on this address")
 	serveFor := flag.Duration("serve-for", 0, "with -serve: shut down after this long (0 = forever)")
 	checkMetricsPath := flag.String("check-metrics", "", "validate a scraped /metrics file and exit")
-	checkTracePath := flag.String("check-trace", "", "validate a downloaded /trace file and exit")
+	checkTracePath := flag.String("check-trace", "", "validate a downloaded /debug/outliers/trace file and exit")
 	outliersFrom := flag.String("outliers", "", "render a /debug/outliers URL or saved file as a top-K table and exit")
 	topK := flag.Int("top", 10, "with -outliers: how many outliers to show")
 	checkOutliersPath := flag.String("check-outliers", "", "validate a downloaded /debug/outliers file and exit")

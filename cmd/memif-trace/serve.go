@@ -15,7 +15,6 @@ import (
 	"memif/internal/hw"
 	"memif/internal/machine"
 	"memif/internal/obs/flight"
-	"memif/internal/obs/lifecycle"
 	"memif/internal/obs/obshttp"
 	"memif/internal/realtime"
 	"memif/internal/sim"
@@ -26,18 +25,17 @@ import (
 )
 
 // runServe populates all three instrumented subsystems — the realtime
-// device (wall clock, full lifecycle capture), the swap daemon and the
-// streaming runtime (virtual clock, stage stamps) — then serves their
-// combined observability on addr: /metrics, /trace, /debug/pprof/*.
+// device (wall clock), the swap daemon and the streaming runtime
+// (virtual clock) — then serves their combined observability on addr:
+// /metrics, /debug/outliers, /debug/outliers/trace, /debug/pprof/*.
 // A positive serveFor shuts the server down after that long (CI smoke);
 // zero serves until killed.
 func runServe(addr string, serveFor time.Duration, reqs, bytesPer int) {
-	// Realtime: a burst of real copies with every lifecycle captured.
+	// Realtime: a burst of real copies, every one stage-stamped.
 	// The chaos hook injects a delay into a few designated requests
 	// after the burst so the flight recorder always holds outliers.
 	var delayCopies atomic.Bool
 	opts := realtime.DefaultOptions()
-	opts.TraceFullCapture = true
 	// The warmup burst below is only `reqs` (default 8) requests; the
 	// recorder's default warmup gate (16) would leave the foreground
 	// lane cold and the provoked stragglers breach-proof. Serve mode is
@@ -113,15 +111,12 @@ func runServe(addr string, serveFor time.Duration, reqs, bytesPer int) {
 	h.Register(func() []obshttp.Metric { return obshttp.SwapdMetrics("swapd0", swSnap) })
 	h.Register(func() []obshttp.Metric { return obshttp.StreamMetrics("stream0", stSnap) })
 	h.Register(func() []obshttp.Metric { return obshttp.StreamEngineMetrics("eng0", engSnap) })
-	h.RegisterTrace("realtime", func() []lifecycle.Lifecycle {
-		return d.Stats().Lifecycle.Captured
-	})
 	h.RegisterOutliers("realtime", d.FlightSnapshot)
 	h.RegisterOutliers("swapd", func() flight.Snapshot { return swSnap.Flight })
 	h.RegisterOutliers("streams", func() flight.Snapshot { return engSnap.Flight })
 
 	srv := &http.Server{Addr: addr, Handler: h}
-	fmt.Fprintf(os.Stderr, "memif-trace: serving http://%s/{metrics,trace,debug/outliers,debug/pprof/}\n", addr)
+	fmt.Fprintf(os.Stderr, "memif-trace: serving http://%s/{metrics,debug/outliers,debug/outliers/trace,debug/pprof/}\n", addr)
 	if serveFor > 0 {
 		go func() {
 			time.Sleep(serveFor)
@@ -298,7 +293,7 @@ func checkMetrics(path string) error {
 	return nil
 }
 
-// checkTrace validates a downloaded /trace body: Chrome trace_event
+// checkTrace validates a downloaded /debug/outliers/trace body: Chrome trace_event
 // JSON with at least one complete ("X") span event.
 func checkTrace(path string) error {
 	body, err := os.ReadFile(path)

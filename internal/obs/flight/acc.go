@@ -1,13 +1,16 @@
 package flight
 
-// Acc batches the recorder's lane and SLO accounting across one
-// completion-retrieve batch. Recorder.Observe costs ~10 atomic RMWs per
-// request (EWMA fold, lane count, four SLO counters); on the armed
-// always-on path that alone would blow the recorder's overhead budget.
-// Acc defers all of it to local arithmetic, folded into the shared
-// counters once per batch by Flush — while the breach decision (and the
-// breach counter) stays exact per request, so retroactive capture keeps
-// its no-sampling-holes contract.
+import "memif/internal/obs/lifecycle"
+
+// Acc batches the recorder's lane, SLO and stage-span accounting across
+// one completion-retrieve batch. Recorder.Observe costs ~10 atomic RMWs
+// per request (EWMA fold, lane count, four SLO counters), and feeding
+// seven span histograms per request costs three more each; on the armed
+// always-on path that would blow the recorder's overhead budget many
+// times over. Acc defers all of it to local arithmetic, folded into the
+// shared counters and span sets once per batch by Flush — while the
+// breach decision (and the breach counter) stays exact per request, so
+// retroactive capture keeps its no-sampling-holes contract.
 //
 // The threshold and warmup state a batch compares against are frozen at
 // the lane's first touch in the batch: a breach decision within a batch
@@ -33,6 +36,7 @@ const accBatchLanes = 4
 
 type accLane struct {
 	tl     *tenantLanes
+	spans  lifecycle.SpanFold // published into classSpans[class] and tl.spans
 	class  int
 	tenant int
 	thr    int64 // threshold in force at first touch
@@ -55,8 +59,11 @@ func (a *Acc) Init(r *Recorder) {
 // counter updates deferred to Flush. It returns the threshold in force
 // and whether latNs breached it; a breach bumps the recorder's breach
 // counter immediately so the Captured == Breaches + Stalls + Events
-// invariant holds at every instant.
-func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int64, breach bool) {
+// invariant holds at every instant. A non-nil ts is the request's stage
+// vector (0 = stage never reached) and flags its lifecycle.Flag* path
+// bits: their spans fold into the lane, published into the recorder's
+// class and tenant span sets at Flush (see lifecycle.SpanFold.Add).
+func (a *Acc) Observe(class, tenant int, latNs int64, ok bool, ts *[lifecycle.NumStages]int64, flags uint32) (thresholdNs int64, breach bool) {
 	r := a.rec
 	if r == nil {
 		return 0, false
@@ -75,18 +82,20 @@ func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int6
 		}
 	}
 	if e == nil {
+		tl := r.tenantRow(tenant)
 		if a.n == len(a.lanes) {
-			return r.Observe(class, tenant, latNs, ok) // spill
-		}
-		tab := *r.lanes.Load()
-		ti := tenant
-		if ti < 0 || ti >= len(tab) {
-			ti = 0
+			// Spill: unbatched lane accounting, spans published at once.
+			if ts != nil {
+				var f lifecycle.SpanFold
+				f.Add(ts, flags)
+				f.Publish(&r.classSpans[class], tl.spans)
+			}
+			return r.Observe(class, tenant, latNs, ok)
 		}
 		e = &a.lanes[a.n]
 		a.n++
-		*e = accLane{tl: tab[ti], class: class, tenant: tenant}
-		ln := &e.tl.lane[class]
+		*e = accLane{tl: tl, class: class, tenant: tenant}
+		ln := &tl.lane[class]
 		e.thr = ln.ewma.Load() * r.mult
 		if e.thr < r.floor {
 			e.thr = r.floor
@@ -94,6 +103,12 @@ func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int6
 		e.warmed = ln.count.Load() >= r.warm
 		if r.sloEnabled {
 			e.obj = r.objectives[class]
+		}
+	}
+	if ts != nil {
+		e.spans.Add(ts, flags)
+		if e.spans.Full() {
+			e.spans.Publish(&r.classSpans[class], e.tl.spans)
 		}
 	}
 	thresholdNs = e.thr
@@ -114,8 +129,8 @@ func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int6
 	return thresholdNs, breach
 }
 
-// Flush folds the batch into the shared lanes and SLO counters and
-// resets the accumulator. The EWMA is advanced one fold per OK
+// Flush folds the batch into the shared lanes, SLO counters and span
+// sets and resets the accumulator. The EWMA is advanced one fold per OK
 // observation using the batch mean — the same fixed point as per-sample
 // folding when the batch is latency-homogeneous, and within one batch's
 // variance of it otherwise.
@@ -126,6 +141,7 @@ func (a *Acc) Flush() {
 	}
 	for i := 0; i < a.n; i++ {
 		e := &a.lanes[i]
+		e.spans.Publish(&r.classSpans[e.class], e.tl.spans)
 		if e.cnt > 0 {
 			ln := &e.tl.lane[e.class]
 			mean := e.latSum / e.cnt

@@ -1,6 +1,11 @@
 package flight
 
-import "testing"
+import (
+	"sync"
+	"testing"
+
+	"memif/internal/obs/lifecycle"
+)
 
 // Feeding homogeneous batches through an Acc must land on exactly the
 // same lane state, breach decisions, and SLO counters as per-request
@@ -30,7 +35,7 @@ func TestAccMatchesObserve(t *testing.T) {
 		acc.Init(batched)
 		for _, lat := range lats {
 			direct.Observe(0, 0, lat, true)
-			acc.Observe(0, 0, lat, true)
+			acc.Observe(0, 0, lat, true, nil, 0)
 		}
 		acc.Flush()
 	}
@@ -65,7 +70,7 @@ func TestAccSpillPastLaneCapacity(t *testing.T) {
 	// 2 classes x 4 tenants = 8 lanes, double the accumulator's 4.
 	for class := 0; class < 2; class++ {
 		for tenant := 0; tenant < 4; tenant++ {
-			acc.Observe(class, tenant, 5_000, true)
+			acc.Observe(class, tenant, 5_000, true, nil, 0)
 		}
 	}
 	acc.Flush()
@@ -91,7 +96,7 @@ func TestAccBreachCountsBeforeFlush(t *testing.T) {
 
 	var acc Acc
 	acc.Init(r)
-	if _, breach := acc.Observe(0, 0, 1_000_000, true); !breach {
+	if _, breach := acc.Observe(0, 0, 1_000_000, true, nil, 0); !breach {
 		t.Fatal("1000x latency not flagged through the accumulator")
 	}
 	if got := r.Snapshot().Breaches; got != 1 {
@@ -108,7 +113,7 @@ func TestAccBreachCountsBeforeFlush(t *testing.T) {
 func TestAccNilAndReuse(t *testing.T) {
 	var acc Acc
 	acc.Init(nil)
-	if thr, breach := acc.Observe(0, 0, 1e9, true); thr != 0 || breach {
+	if thr, breach := acc.Observe(0, 0, 1e9, true, nil, 0); thr != 0 || breach {
 		t.Fatalf("nil-recorder Observe = (%d, %v), want (0, false)", thr, breach)
 	}
 	acc.Flush()
@@ -116,14 +121,118 @@ func TestAccNilAndReuse(t *testing.T) {
 	r := New(Options{ThresholdFloorNs: 1, Warmup: 1})
 	acc.Init(r)
 	for i := 0; i < 3; i++ {
-		acc.Observe(0, 0, 2_000, true)
+		acc.Observe(0, 0, 2_000, true, nil, 0)
 	}
 	acc.Flush()
 	acc.Init(r) // new batch on the same accumulator
-	acc.Observe(0, 0, 2_000, true)
+	acc.Observe(0, 0, 2_000, true, nil, 0)
 	acc.Flush()
 	s := r.Snapshot()
 	if len(s.Thresholds) != 1 || s.Thresholds[0].Count != 4 {
 		t.Fatalf("reused accumulator lost observations: %+v", s.Thresholds)
 	}
+}
+
+// Stage spans fold per lane and land in the recorder's class and tenant
+// sets at Flush — every request exactly once, whether its lane was
+// batched, spilled past the accumulator's capacity, or published early
+// because its fold filled up.
+func TestAccSpansPerLane(t *testing.T) {
+	r := New(Options{Classes: 2})
+	r.EnsureTenants(4)
+	ts := lifecycle.Stamps(100, 110, 130, 160, 200, 210, 260)
+
+	var acc Acc
+	acc.Init(r)
+	if r.ClassSpans(0).Spans[lifecycle.SpanTotal].Count != 0 {
+		t.Fatal("spans visible before any Flush")
+	}
+	// 2 classes x 4 tenants = 8 lanes (4 spill), 40 requests per lane,
+	// then 300 more on one lane to overflow its fold mid-batch.
+	for round := 0; round < 40; round++ {
+		for class := 0; class < 2; class++ {
+			for tenant := 0; tenant < 4; tenant++ {
+				acc.Observe(class, tenant, 160, true, &ts, lifecycle.FlagStolen)
+			}
+		}
+	}
+	for i := 0; i < 300; i++ {
+		acc.Observe(0, 0, 160, true, &ts, lifecycle.FlagInline)
+	}
+	acc.Flush()
+
+	all := r.ClassSpans(0).Add(r.ClassSpans(1))
+	if got, want := all.Spans[lifecycle.SpanTotal].Count, int64(40*8+300); got != want {
+		t.Fatalf("total span count = %d, want %d", got, want)
+	}
+	if r.ClassSpans(2).Spans[lifecycle.SpanTotal].Count != 0 {
+		t.Fatal("a class outside the recorder's range reported spans")
+	}
+	var tenants lifecycle.SpanSnapshot
+	for tenant := 0; tenant < 4; tenant++ {
+		tenants = tenants.Add(r.TenantSpans(tenant))
+	}
+	if tenants != all {
+		t.Fatalf("tenant sets do not add up to the recorder-wide set")
+	}
+	// Only the stolen, ring-path requests carry ring wait and steal delay.
+	if c := all.Spans[lifecycle.SpanStealDelay].Count; c != 40*8 {
+		t.Errorf("steal delay count = %d, want %d", c, 40*8)
+	}
+	if h := all.Spans[lifecycle.SpanRingWait]; h.Count != 40*8 || h.Sum != 30*40*8 {
+		t.Errorf("ring wait = %d samples / %d ns, want %d / %d", h.Count, h.Sum, 40*8, 30*40*8)
+	}
+	if r.TenantSpans(9).Spans[lifecycle.SpanTotal].Count != 0 {
+		t.Error("unknown tenant reported spans")
+	}
+	var nilRec *Recorder
+	if nilRec.ClassSpans(0).Spans[lifecycle.SpanTotal].Count != 0 || nilRec.TenantSpans(0).Spans[lifecycle.SpanTotal].Count != 0 {
+		t.Error("nil recorder reported spans")
+	}
+}
+
+// The default tenant's spans are derived (class sets minus the other
+// tenants' sets); read while batches publish concurrently, the
+// derivation must never see a bucket go negative — every snapshot's
+// buckets add up to its count.
+func TestDefaultTenantSpansConsistentUnderPublish(t *testing.T) {
+	r := New(Options{Classes: 2})
+	r.EnsureTenants(3)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int64(1); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ts := lifecycle.Stamps(i, i+1, i+3, i+7, i+15, i+15, i+31+i%1000)
+				var acc Acc
+				acc.Init(r)
+				acc.Observe(int(i%2), g, 31, true, &ts, 0)
+				acc.Observe(int(i%2), (g+1)%3, 31, true, &ts, 0)
+				acc.Flush()
+			}
+		}(g)
+	}
+	for i := 0; i < 2000; i++ {
+		s := r.TenantSpans(0)
+		for sp, h := range s.Spans {
+			var sum int64
+			for _, n := range h.Buckets {
+				sum += n
+			}
+			if sum != h.Count {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("span %v: buckets total %d, count %d", lifecycle.Span(sp), sum, h.Count)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -2,20 +2,23 @@
 // tail-latency forensics for the realtime pipeline and the tiering
 // daemon.
 //
-// The lifecycle tracer (PR 4) answers "where does a *typical* request
-// spend its time" by sampling 1/128 of requests into span histograms.
-// It cannot answer "why was *this* request slow" — at 1/128 the p99.9
-// outlier is almost never sampled. The flight recorder closes that gap
-// with three cooperating pieces:
+// Stage stamps answer "where does a *typical* request spend its time"
+// through span histograms; they cannot answer "why was *this* request
+// slow". The flight recorder answers both from one stamping path, with
+// four cooperating pieces:
 //
-//   - Retroactive outlier capture. Stage stamping is left on for every
-//     request (one atomic store per transition); at retrieval the total
-//     latency is compared against an adaptive per-(class,tenant)
-//     threshold — an EWMA of recent completions, scaled by a
-//     multiplier and clamped by a floor. A breaching request has its
-//     full seven-stage stamp vector plus ambient device state copied
-//     into a bounded lock-free ring. Sampling still feeds the
-//     aggregate histograms; every outlier is explained.
+//   - Stage spans. The owner keeps stage stamps on every request and
+//     hands each retrieved request's stamp vector to an Acc, which folds
+//     the derived spans locally per (class, tenant) lane and publishes
+//     them into the recorder's per-class and per-tenant span sets once
+//     per retrieve batch. Percentiles are exact over every request.
+//
+//   - Retroactive outlier capture. At retrieval the total latency is
+//     compared against an adaptive per-(class,tenant) threshold — an
+//     EWMA of recent completions, scaled by a multiplier and clamped by
+//     a floor. A breaching request has its full seven-stage stamp
+//     vector plus ambient device state copied into a bounded lock-free
+//     ring: every outlier is explained.
 //
 //   - Stall watchdog. A monitor goroutine ticks a Watchdog with a
 //     cheap progress probe; a worker making no dispatch progress while
@@ -42,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"memif/internal/obs"
 	"memif/internal/obs/lifecycle"
 )
 
@@ -319,11 +323,15 @@ type lane struct {
 }
 
 // tenantLanes is one tenant's row: a lane per class plus the tenant's
-// SLO good/total counters.
+// SLO good/total counters and stage spans. The default tenant's row
+// keeps no span set (spans is nil): its spans are derived as the class
+// sets minus every other tenant's (TenantSpans), so the common
+// single-tenant batch publishes one set, not two.
 type tenantLanes struct {
 	lane  [MaxClasses]lane
 	good  atomic.Int64
 	total atomic.Int64
+	spans *lifecycle.SpanSet
 }
 
 // slotRec is one ring slot with every field atomic, seq stored last
@@ -438,6 +446,11 @@ type Recorder struct {
 	classGood  [MaxClasses]atomic.Int64
 	classTotal [MaxClasses]atomic.Int64
 
+	// classSpans are the per-class stage spans Acc publishes (each
+	// lane's fold goes to its class set, then to its tenant's set); the
+	// recorder-wide view is their sum, built by readers.
+	classSpans [MaxClasses]lifecycle.SpanSet
+
 	winMu   sync.Mutex
 	windows []*wring
 }
@@ -487,9 +500,19 @@ func (r *Recorder) EnsureTenants(n int) {
 	tab := make([]*tenantLanes, n)
 	copy(tab, old)
 	for i := len(old); i < n; i++ {
-		tab[i] = new(tenantLanes)
+		tab[i] = &tenantLanes{spans: new(lifecycle.SpanSet)}
 	}
 	r.lanes.Store(&tab)
+}
+
+// tenantRow returns tenant's lane row; unknown tenants share the
+// default tenant's row.
+func (r *Recorder) tenantRow(tenant int) *tenantLanes {
+	tab := *r.lanes.Load()
+	if tenant < 0 || tenant >= len(tab) {
+		tenant = 0
+	}
+	return tab[tenant]
 }
 
 // Observe folds one completed request into the recorder: the lane
@@ -507,11 +530,7 @@ func (r *Recorder) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs
 	if class < 0 || class >= r.opts.Classes {
 		class = 0
 	}
-	tab := *r.lanes.Load()
-	if tenant < 0 || tenant >= len(tab) {
-		tenant = 0
-	}
-	tl := tab[tenant]
+	tl := r.tenantRow(tenant)
 	ln := &tl.lane[class]
 	old := ln.ewma.Load()
 	n := ln.count.Load()
@@ -611,6 +630,80 @@ func (r *Recorder) Tick(nano int64) {
 		w.last = nano
 	}
 	r.winMu.Unlock()
+}
+
+// ClassSpans returns one class's stage spans over every request folded
+// through an Acc (empty for an unknown class or a nil recorder). The
+// recorder-wide view is the sum over classes (SpanSnapshot.Add).
+func (r *Recorder) ClassSpans(class int) lifecycle.SpanSnapshot {
+	if r == nil || class < 0 || class >= MaxClasses {
+		return lifecycle.SpanSnapshot{}
+	}
+	return r.classSpans[class].Snapshot()
+}
+
+// Span returns one stage span's histogram summed over every class —
+// for a periodic consumer such as an adaptive-threshold retuner, which
+// must not pay for snapshotting every span of every class.
+func (r *Recorder) Span(sp lifecycle.Span) obs.HistogramSnapshot {
+	var h obs.HistogramSnapshot
+	if r == nil {
+		return h
+	}
+	for c := 0; c < r.opts.Classes; c++ {
+		h = h.Add(r.classSpans[c].Span(sp))
+	}
+	return h
+}
+
+// TenantSpans returns one tenant's stage spans (empty for an unknown
+// tenant or a nil recorder).
+func (r *Recorder) TenantSpans(tenant int) lifecycle.SpanSnapshot {
+	var s lifecycle.SpanSnapshot
+	if r == nil {
+		return s
+	}
+	tab := *r.lanes.Load()
+	if tenant < 0 || tenant >= len(tab) {
+		return s
+	}
+	if tenant > 0 {
+		return tab[tenant].spans.Snapshot()
+	}
+	// The default tenant is everything the class sets hold that no other
+	// tenant's set does. Reading the tenant sets first keeps every
+	// bucket's difference non-negative under concurrent publishing: a
+	// fold reaches its class set before its tenant set.
+	var others lifecycle.SpanSnapshot
+	for _, tl := range tab[1:] {
+		others = others.Add(tl.spans.Snapshot())
+	}
+	for c := 0; c < r.opts.Classes; c++ {
+		s = s.Add(r.classSpans[c].Snapshot())
+	}
+	return s.Delta(others)
+}
+
+// Lifecycles converts the captured latency outliers among outs into the
+// lifecycle shape the Chrome trace renderer takes. Stall and event
+// records carry no stamp vector and are skipped.
+func Lifecycles(outs []Outlier) []lifecycle.Lifecycle {
+	var lcs []lifecycle.Lifecycle
+	for _, o := range outs {
+		if o.Kind != KindLatency || o.TS[lifecycle.StageSubmit] == 0 {
+			continue
+		}
+		lcs = append(lcs, lifecycle.Lifecycle{
+			Seq:     o.Seq,
+			Slot:    int(o.Slot),
+			Class:   int(o.Class),
+			Bytes:   o.Bytes,
+			Outcome: lifecycle.Outcome(o.Outcome),
+			Flags:   o.Flags,
+			TS:      o.TS,
+		})
+	}
+	return lcs
 }
 
 // LaneThreshold is one active lane's adaptive state.

@@ -1,55 +1,31 @@
-// Package lifecycle is the per-request lifecycle tracer: it timestamps
-// every stage transition a request makes through an asynchronous move
-// pipeline (submit → flushed → dispatched → copy start/end → completed →
-// retrieved) and derives per-stage latency histograms from the stamps —
-// the latency-budget attribution the paper's Section 6 builds its whole
-// argument on, turned into an always-on instrument.
+// Package lifecycle models a request's life through an asynchronous
+// move pipeline — seven stage stamps, submit → flushed → dispatched →
+// copy start/end → completed → retrieved — and derives per-stage
+// latency histograms (spans) from them: the latency-budget attribution
+// the paper's Section 6 builds its whole argument on, turned into an
+// always-on instrument.
 //
-// # Hot-path cost model
+// The pipelines keep their own stamps; this package only derives and
+// aggregates them. The realtime device stamps every request in plain
+// Request fields and folds the derived spans through a goroutine-local
+// SpanFold, published into shared SpanSets once per retrieve batch
+// (internal/obs/flight's Acc), so an armed device pays plain arithmetic
+// per request and a handful of atomic adds per batch. The simulated
+// core device under swapd and streamrt carries stage times on its
+// MovReq records and feeds a SpanSet directly through ObserveStamps, on
+// virtual time.
 //
-// Records are preallocated per request slot and indexed by the slot
-// number, so tracing allocates nothing after construction. Every
-// transition on an active request is one atomic store of a nanosecond
-// stamp; on an inactive request the instrumentation site pays one
-// atomic load (the active check) and nothing else. The sampling
-// decision itself is a slot-local counter increment and a mask test,
-// taken once per request at Begin — no tracer-global contended write
-// on the unsampled path. All of the expensive work — computing span
-// durations, feeding histograms, pushing the capture ring — happens at
-// End, which runs on the application's completion-retrieval path, never
-// on the device's worker or controller goroutines (the interrupt path).
-//
-// # Sampling and capture
-//
-// A Tracer samples one request in 2^shift (shift 0 samples everything —
-// the full-capture debug mode). Sampled lifecycles feed the per-span
-// histograms and, once complete, are copied into a fixed-depth capture
-// ring from which ChromeTraceJSON renders a Chrome trace_event timeline
+// Lifecycle and ChromeTraceJSON render stamp vectors (the flight
+// recorder's captured outliers) as a Chrome trace_event timeline
 // (chrome://tracing, Perfetto).
 //
-// The flight recorder's retroactive outlier capture deliberately does
-// NOT ride on the Tracer: stamping every request through these records
-// costs an atomic store per stage per request, which breaks the
-// recorder's <2% overhead budget. The realtime device instead keeps its
-// armed-mode stamps in plain per-Request fields ordered by the
-// pipeline's own queue handoffs (see the device's lcEnd), while the
-// Tracer stays the sampled, full-fidelity instrument.
-//
-// Subsystems whose request records carry their own stage timestamps
-// (the simulated core device under swapd and streamrt) skip the Tracer
-// and feed a SpanSet directly through ObserveStamps, producing the same
-// per-stage histograms on virtual time.
-//
-// The package follows the obs ground rules: everything is lock-free,
-// safe from any goroutine, and nil-safe, so instrumentation sites need
-// no enabled-checks.
+// Everything here that is shared is lock-free, safe from any goroutine,
+// and nil-safe, so instrumentation sites need no enabled-checks.
 package lifecycle
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"sync/atomic"
 
 	"memif/internal/obs"
 )
@@ -106,11 +82,13 @@ const (
 	// SpanDispatchWait: flushed → dispatched; time on the submission
 	// queue waiting for the worker.
 	SpanDispatchWait
-	// SpanRingWait: push → pop of a chunk on a dispatch ring (chunk
-	// level; observed once per sampled chunk).
+	// SpanRingWait: dispatched → copy start of a request that took the
+	// controller rings (not FlagInline) — how long its first chunk sat
+	// on a dispatch ring.
 	SpanRingWait
-	// SpanStealDelay: ring wait of chunks that were stolen by a
-	// non-owning controller — how long work sat before stealing saved it.
+	// SpanStealDelay: the ring wait of requests with at least one chunk
+	// stolen by a non-owning controller (FlagStolen) — how long work sat
+	// before stealing saved it.
 	SpanStealDelay
 	// SpanCopy: copy start → copy end; the actual byte-moving window,
 	// across every controller touching the request.
@@ -140,8 +118,8 @@ func (s Span) String() string {
 // Span.
 func SpanNames() [NumSpans]string { return spanNames }
 
-// stageSpans lists the spans derived from stage pairs at End (the
-// chunk-level SpanRingWait / SpanStealDelay are observed separately).
+// stageSpans lists the spans derived from stage pairs alone
+// (SpanRingWait / SpanStealDelay also need the path flags).
 var stageSpans = [...]struct {
 	span     Span
 	from, to Stage
@@ -177,9 +155,8 @@ func (o Outcome) String() string {
 	}
 }
 
-// SpanSet is a bundle of per-span latency histograms. Subsystems that
-// carry stage timestamps on their own request records feed it directly;
-// the Tracer embeds one for the records it manages.
+// SpanSet is a bundle of per-span latency histograms, fed per request
+// through ObserveStamps or per batch through a SpanFold.
 type SpanSet struct {
 	spans [NumSpans]obs.Histogram
 }
@@ -198,8 +175,8 @@ func (s *SpanSet) Observe(sp Span, d int64) {
 }
 
 // ObserveStamps derives and records every stage-pair span whose
-// endpoints are both stamped (nonzero). The chunk-level spans are not
-// derivable from stamps and are untouched.
+// endpoints are both stamped (nonzero). SpanRingWait and SpanStealDelay
+// are untouched: they need the path flags a SpanFold takes.
 func (s *SpanSet) ObserveStamps(ts *[NumStages]int64) {
 	if s == nil {
 		return
@@ -241,6 +218,16 @@ func (s *SpanSet) Snapshot() SpanSnapshot {
 	return out
 }
 
+// Span captures one span's histogram — the cheap accessor for a
+// periodic consumer that needs a single span, not the whole set.
+// Nil-safe (zero snapshot).
+func (s *SpanSet) Span(sp Span) obs.HistogramSnapshot {
+	if s == nil {
+		return obs.HistogramSnapshot{}
+	}
+	return s.spans[sp].Snapshot()
+}
+
 // SpanSnapshot is a point-in-time copy of a SpanSet, indexed by Span.
 type SpanSnapshot struct {
 	Spans [NumSpans]obs.HistogramSnapshot
@@ -256,8 +243,17 @@ func (s SpanSnapshot) Delta(prev SpanSnapshot) SpanSnapshot {
 	return out
 }
 
-// Request-path flags recorded on a lifecycle — how the request was
-// served, for outlier forensics ("slow because it was NOT inlined and
+// Add returns the union of two snapshots' samples, span by span — the
+// merge of per-class sets into a device-wide one.
+func (s SpanSnapshot) Add(o SpanSnapshot) SpanSnapshot {
+	for i := range s.Spans {
+		s.Spans[i] = s.Spans[i].Add(o.Spans[i])
+	}
+	return s
+}
+
+// Request-path flags — how the request was served, for span derivation
+// (SpanFold.Add) and outlier forensics ("slow because it was NOT inlined and
 // its chunks sat un-stolen").
 const (
 	// FlagInline: the worker copied the request inline instead of
@@ -268,9 +264,8 @@ const (
 	FlagStolen uint32 = 1 << 1
 )
 
-// Lifecycle is one completed, captured request lifecycle: the slot it
-// ran in, a global order stamp (0 when the lifecycle was unsampled),
-// the payload size, the priority class (0 on pipelines without
+// Lifecycle is one request's rendered life: the slot it ran in, an
+// order stamp (the flight recorder's capture seq), the payload size, the priority class (0 on pipelines without
 // classes), the outcome, the path flags, and the raw stage timestamps
 // (0 = stage never reached).
 type Lifecycle struct {
@@ -283,379 +278,75 @@ type Lifecycle struct {
 	TS      [NumStages]int64
 }
 
-// record is the preallocated per-slot state. active gates stamping
-// (sampled lifecycles only); sampled additionally gates the histogram
-// and capture-ring work at End. count drives the sampling decision
-// slot-locally, so an unsampled Begin never touches a cacheline shared
-// across submitters.
-type record struct {
-	count   atomic.Uint64
-	active  atomic.Uint32
-	sampled atomic.Uint32
-	flags   atomic.Uint32
-	class   atomic.Uint32
-	bytes   atomic.Int64
-	seq     atomic.Uint64
-	outcome atomic.Uint32
-	ts      [NumStages]atomic.Int64
+// SpanFold is a goroutine-local SpanSet batch: Add derives one
+// request's spans with plain arithmetic, and Publish merges the batch
+// into shared SpanSets with a few atomic adds per span, however many
+// requests it holds. It holds up to obs.MaxTally requests; publish it
+// when Full. The zero value is empty and ready; not safe for concurrent
+// use.
+type SpanFold struct {
+	n     int
+	spans [NumSpans]obs.Tally
 }
 
-// captureSlot is one lock-free capture-ring entry. Like obs.Trace, the
-// seq word is stored last so a fully published slot is identifiable;
-// a slot mid-rewrite at snapshot time may carry mixed stamps — accepted
-// for a diagnostic ring, and never a data race (every field is atomic).
-type captureSlot struct {
-	seq     atomic.Uint64
-	slot    atomic.Int64
-	class   atomic.Uint32
-	bytes   atomic.Int64
-	outcome atomic.Uint32
-	flags   atomic.Uint32
-	ts      [NumStages]atomic.Int64
-}
-
-// DefaultCaptureDepth is the capture-ring depth when the caller passes 0.
-const DefaultCaptureDepth = 256
-
-// Tracer owns the per-slot records of one device and the histograms
-// derived from them. A nil *Tracer is valid and records nothing.
-type Tracer struct {
-	mask       uint64 // sample when (seq-1)&mask == 0
-	shift      int
-	recs       []record
-	seq        atomic.Uint64
-	begun      obs.Counter
-	ended      obs.Counter
-	aborted    obs.Counter
-	spans      SpanSet
-	classSpans []SpanSet // per-class attribution; empty without classes
-	capture    []captureSlot
-	capCur     atomic.Uint64
-}
-
-// New returns a tracer for slots request slots sampling one request in
-// 2^sampleShift (shift 0 = every request, the full-capture mode), with
-// a captureDepth-deep completed-lifecycle ring (0 = DefaultCaptureDepth).
-// classes > 0 additionally attributes every span to the request's
-// priority class (Begin's class argument), giving per-class stage
-// latencies alongside the global ones. A negative sampleShift returns
-// nil — tracing disabled; every method is nil-safe.
-func New(slots, sampleShift, captureDepth, classes int) *Tracer {
-	if sampleShift < 0 || slots <= 0 {
-		return nil
-	}
-	if sampleShift > 62 {
-		sampleShift = 62
-	}
-	if captureDepth <= 0 {
-		captureDepth = DefaultCaptureDepth
-	}
-	if classes < 0 {
-		classes = 0
-	}
-	return &Tracer{
-		mask:       uint64(1)<<uint(sampleShift) - 1,
-		shift:      sampleShift,
-		recs:       make([]record, slots),
-		classSpans: make([]SpanSet, classes),
-		capture:    make([]captureSlot, captureDepth),
-	}
-}
-
-// SampleShift reports the configured shift (-1 on a nil tracer).
-func (t *Tracer) SampleShift() int {
-	if t == nil {
-		return -1
-	}
-	return t.shift
-}
-
-// Begin opens a lifecycle on slot, making the sampling decision and —
-// when sampled — stamping StageSubmit with nano. class attributes the
-// lifecycle's spans to a priority class (pass 0 on pipelines without
-// classes). It reports whether the lifecycle is sampled. A previous
-// lifecycle left un-ended on the slot (an aborted submission) is
-// overwritten.
-//
-// The decision counts slot-locally — each slot samples its own 1st,
-// 2^shift+1'th, ... request — so the unsampled path costs a counter
-// bump and a mask test on the slot's own cacheline, never a contended
-// RMW on tracer-global state. The global Seq order stamp is taken only
-// for sampled lifecycles (1 in 2^shift), where its cost vanishes.
-func (t *Tracer) Begin(slot, class int, bytes, nano int64) bool {
-	if t == nil || slot >= len(t.recs) {
-		return false
-	}
-	r := &t.recs[slot]
-	c := r.count.Add(1)
-	sampled := (c-1)&t.mask == 0
-	if !sampled {
-		if r.active.Load() != 0 {
-			r.active.Store(0) // clear a lifecycle left open by a failed submit
-		}
-		return false
-	}
-	for i := 1; i < NumStages; i++ {
-		r.ts[i].Store(0)
-	}
-	r.ts[StageSubmit].Store(nano)
-	r.class.Store(uint32(class))
-	r.bytes.Store(bytes)
-	r.flags.Store(0)
-	r.outcome.Store(uint32(OutcomeOK))
-	// The global order stamp is taken only for sampled lifecycles
-	// (1 in 2^shift), where its contended-RMW cost vanishes.
-	r.seq.Store(t.seq.Add(1))
-	r.sampled.Store(1)
-	t.begun.Inc()
-	r.active.Store(1)
-	return true
-}
-
-// Active reports whether slot has an open lifecycle being stamped —
-// the one-atomic-load check stamping sites use before reading a clock.
-func (t *Tracer) Active(slot int) bool {
-	return t != nil && slot < len(t.recs) && t.recs[slot].active.Load() != 0
-}
-
-// Sampled reports whether the lifecycle currently open on slot is
-// sampled — the check sites feeding histograms (and other per-sample
-// costs, like a chunk push timestamp) use. Implies Active.
-func (t *Tracer) Sampled(slot int) bool {
-	if t == nil || slot >= len(t.recs) {
-		return false
-	}
-	r := &t.recs[slot]
-	return r.active.Load() != 0 && r.sampled.Load() != 0
-}
-
-// StampPending reports whether slot's open lifecycle still lacks a
-// stamp for stage — lets a caller that already paid a clock read for
-// an earlier stamp skip re-reading for a stage stamped by a peer.
-func (t *Tracer) StampPending(slot int, st Stage) bool {
-	if t == nil || slot >= len(t.recs) {
-		return false
-	}
-	r := &t.recs[slot]
-	return r.active.Load() != 0 && r.ts[st].Load() == 0
-}
-
-// SetFlag ORs a Flag* bit into slot's open lifecycle. Go 1.22 has no
-// atomic Or, so this is a CAS loop — uncontended in practice (the
-// writers of distinct flags run on different goroutines but rarely on
-// the same request at the same instant).
-func (t *Tracer) SetFlag(slot int, flag uint32) {
-	if t == nil || slot >= len(t.recs) {
-		return
-	}
-	r := &t.recs[slot]
-	if r.active.Load() == 0 {
-		return
-	}
-	for {
-		old := r.flags.Load()
-		if old&flag == flag || r.flags.CompareAndSwap(old, old|flag) {
-			return
-		}
-	}
-}
-
-// Transition stamps stage with nano on slot's open lifecycle: one
-// atomic store. No-op when the lifecycle is inactive (one atomic load).
-func (t *Tracer) Transition(slot int, st Stage, nano int64) {
-	if !t.Active(slot) {
-		return
-	}
-	t.recs[slot].ts[st].Store(nano)
-}
-
-// TransitionFirst stamps stage only if it has no stamp yet — for stages
-// reached concurrently by several goroutines where the earliest wins
-// (StageCopyStart across parallel chunk copies).
-func (t *Tracer) TransitionFirst(slot int, st Stage, nano int64) {
-	if !t.Active(slot) {
-		return
-	}
-	t.recs[slot].ts[st].CompareAndSwap(0, nano)
-}
-
-// ObserveQueueWait records a chunk-level dispatch-ring wait for a
-// request of the given class; stolen chunks are additionally attributed
-// to SpanStealDelay.
-func (t *Tracer) ObserveQueueWait(class int, d int64, stolen bool) {
-	if t == nil {
-		return
-	}
-	t.spans.Observe(SpanRingWait, d)
-	if stolen {
-		t.spans.Observe(SpanStealDelay, d)
-	}
-	if class >= 0 && class < len(t.classSpans) {
-		t.classSpans[class].Observe(SpanRingWait, d)
-		if stolen {
-			t.classSpans[class].Observe(SpanStealDelay, d)
-		}
-	}
-}
-
-// Abort closes slot's open lifecycle without deriving anything — for
-// submissions that failed back to the caller (the request never entered
-// the pipeline).
-func (t *Tracer) Abort(slot int) {
-	if t == nil || slot >= len(t.recs) {
-		return
-	}
-	r := &t.recs[slot]
-	if r.active.Load() == 0 {
-		return
-	}
-	sampled := r.sampled.Load() != 0
-	r.active.Store(0)
-	if sampled {
-		t.aborted.Inc()
-	}
-}
-
-// End closes slot's open lifecycle: stamps StageRetrieved with nano,
-// derives every stage-pair span into the histograms, and pushes the
-// completed lifecycle onto the capture ring. Runs on the application's
-// retrieval goroutine, never the device's.
-func (t *Tracer) End(slot int, outcome Outcome, nano int64) {
-	t.EndInto(slot, outcome, nano, nil)
-}
-
-// EndInto is End with one extra attribution target: the derived spans
-// are also observed into extra (when non-nil), so a caller can attribute
-// the same lifecycle to a second dimension — the realtime device uses it
-// for per-tenant stage latencies — without stamping or deriving twice.
-//
-// It returns the closed lifecycle (complete stamp vector, flags,
-// outcome) and whether one was open, so the caller can feed the same
-// sampled lifecycle to the flight recorder's breach check without
-// re-deriving the stamps.
-func (t *Tracer) EndInto(slot int, outcome Outcome, nano int64, extra *SpanSet) (Lifecycle, bool) {
-	if t == nil || slot >= len(t.recs) {
-		return Lifecycle{}, false
-	}
-	r := &t.recs[slot]
-	if r.active.Load() == 0 {
-		return Lifecycle{}, false
-	}
-	r.ts[StageRetrieved].Store(nano)
-	r.outcome.Store(uint32(outcome))
-	var ts [NumStages]int64
-	for i := range ts {
-		ts[i] = r.ts[i].Load()
-	}
-	class := int(r.class.Load())
-	lc := Lifecycle{
-		Seq:     r.seq.Load(),
-		Slot:    slot,
-		Class:   class,
-		Bytes:   r.bytes.Load(),
-		Outcome: outcome,
-		Flags:   r.flags.Load(),
-		TS:      ts,
-	}
-	if r.sampled.Load() != 0 {
-		t.spans.ObserveStamps(&ts)
-		if extra != nil {
-			extra.ObserveStamps(&ts)
-		}
-		if class < len(t.classSpans) {
-			t.classSpans[class].ObserveStamps(&ts)
-		}
-		t.pushCapture(lc)
-		t.ended.Inc()
-	}
-	r.active.Store(0)
-	return lc, true
-}
-
-func (t *Tracer) pushCapture(lc Lifecycle) {
-	seq := t.capCur.Add(1)
-	s := &t.capture[(seq-1)%uint64(len(t.capture))]
-	s.slot.Store(int64(lc.Slot))
-	s.class.Store(uint32(lc.Class))
-	s.bytes.Store(lc.Bytes)
-	s.outcome.Store(uint32(lc.Outcome))
-	s.flags.Store(lc.Flags)
-	for i := range lc.TS {
-		s.ts[i].Store(lc.TS[i])
-	}
-	s.seq.Store(lc.Seq)
-}
-
-// Snapshot captures the tracer state: sampling counters, the per-span
-// histograms and the retained completed lifecycles in Seq order.
-// Nil-safe (zero snapshot, Enabled false).
-func (t *Tracer) Snapshot() Snapshot {
-	if t == nil {
-		return Snapshot{SampleShift: -1}
-	}
-	s := Snapshot{
-		Enabled:     true,
-		SampleShift: t.shift,
-		Begun:       t.begun.Load(),
-		Ended:       t.ended.Load(),
-		Aborted:     t.aborted.Load(),
-		Spans:       t.spans.Snapshot(),
-	}
-	if len(t.classSpans) > 0 {
-		s.ClassSpans = make([]SpanSnapshot, len(t.classSpans))
-		for i := range t.classSpans {
-			s.ClassSpans[i] = t.classSpans[i].Snapshot()
-		}
-	}
-	for i := range t.capture {
-		cs := &t.capture[i]
-		seq := cs.seq.Load()
-		if seq == 0 {
+// Add folds one request's spans: every stage-pair span whose endpoints
+// are both stamped (nonzero), and — when the request took the
+// controller rings (flags without FlagInline) and reached both
+// dispatch and copy start — SpanRingWait, doubled into SpanStealDelay
+// when a chunk was stolen (FlagStolen). Negative durations (stamps
+// from amortized clocks on different goroutines) clamp to zero.
+func (f *SpanFold) Add(ts *[NumStages]int64, flags uint32) {
+	for _, d := range stageSpans {
+		from, to := ts[d.from], ts[d.to]
+		if from == 0 || to == 0 {
 			continue
 		}
-		lc := Lifecycle{
-			Seq:     seq,
-			Slot:    int(cs.slot.Load()),
-			Class:   int(cs.class.Load()),
-			Bytes:   cs.bytes.Load(),
-			Outcome: Outcome(cs.outcome.Load()),
-			Flags:   cs.flags.Load(),
-		}
-		for j := range lc.TS {
-			lc.TS[j] = cs.ts[j].Load()
-		}
-		s.Captured = append(s.Captured, lc)
+		f.observe(d.span, to-from)
 	}
-	sort.Slice(s.Captured, func(i, j int) bool { return s.Captured[i].Seq < s.Captured[j].Seq })
-	return s
+	disp, cs := ts[StageDispatched], ts[StageCopyStart]
+	if flags&FlagInline == 0 && disp != 0 && cs != 0 {
+		f.observe(SpanRingWait, cs-disp)
+		if flags&FlagStolen != 0 {
+			f.observe(SpanStealDelay, cs-disp)
+		}
+	}
+	f.n++
 }
 
-// Spans captures only the global per-span histograms — the cheap
-// accessor for periodic consumers (e.g. an adaptive-threshold retuner)
-// that must not pay Snapshot's capture-ring scan. Nil-safe.
-func (t *Tracer) Spans() SpanSnapshot {
-	if t == nil {
-		return SpanSnapshot{}
+func (f *SpanFold) observe(sp Span, d int64) {
+	if d < 0 {
+		d = 0
 	}
-	return t.spans.Snapshot()
+	f.spans[sp].Observe(d)
 }
 
-// Snapshot is a point-in-time view of a Tracer.
+// Full reports whether the fold holds its capacity of requests.
+func (f *SpanFold) Full() bool { return f.n >= obs.MaxTally }
+
+// Publish merges the batch into a and then, when b is non-nil, into b
+// — say, a request class's set and a tenant's — and empties it.
+func (f *SpanFold) Publish(a, b *SpanSet) {
+	if f.n == 0 {
+		return
+	}
+	for i := range f.spans {
+		f.spans[i].Publish(&a.spans[i])
+		if b != nil {
+			f.spans[i].Publish(&b.spans[i])
+		}
+	}
+	*f = SpanFold{}
+}
+
+// Snapshot is a pipeline's stage-latency attribution: the per-span
+// histograms over every observed request, and the same split by
+// priority class.
 type Snapshot struct {
-	// Enabled is false on a disabled (nil) tracer; SampleShift is the
-	// configured 1-in-2^k shift (-1 when disabled).
-	Enabled     bool
-	SampleShift int
-	// Begun / Ended / Aborted count sampled lifecycles opened, completed
-	// through retrieval, and abandoned by failed submissions.
-	Begun, Ended, Aborted int64
 	// Spans holds the per-stage latency histograms.
 	Spans SpanSnapshot
 	// ClassSpans holds the same histograms split by priority class,
-	// indexed by class; empty when the tracer was built without classes.
+	// indexed by class; empty when the pipeline keeps no spans.
 	ClassSpans []SpanSnapshot
-	// Captured holds the retained completed lifecycles, oldest first.
-	Captured []Lifecycle
 }
 
 // chromeEvent is one trace_event entry in the JSON Object Format that

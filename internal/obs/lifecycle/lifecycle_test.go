@@ -5,179 +5,106 @@ import (
 	"testing"
 )
 
-func TestSamplingRate(t *testing.T) {
-	// shift 3: exactly every 8th Begin (the 1st, 9th, 17th, ...) is
-	// sampled — the decision is a deterministic counter, not a PRNG.
-	tr := New(4, 3, 0, 0)
-	sampled := 0
-	for i := 0; i < 64; i++ {
-		if tr.Begin(0, 0, 100, int64(i+1)) {
-			sampled++
-			if i%8 != 0 {
-				t.Errorf("request %d sampled, want only multiples of 8", i)
-			}
-		}
-		tr.End(0, OutcomeOK, int64(i+1000))
-	}
-	if sampled != 8 {
-		t.Errorf("sampled %d of 64 at shift 3, want 8", sampled)
-	}
-	s := tr.Snapshot()
-	if s.Begun != 8 || s.Ended != 8 {
-		t.Errorf("begun/ended = %d/%d, want 8/8", s.Begun, s.Ended)
-	}
-	if s.SampleShift != 3 || !s.Enabled {
-		t.Errorf("snapshot shift/enabled = %d/%v", s.SampleShift, s.Enabled)
-	}
-}
-
+// TestFullCaptureAndSpans folds one fully stamped ring-path request
+// with a stolen chunk and checks every derived span, ring wait and
+// steal delay included.
 func TestFullCaptureAndSpans(t *testing.T) {
-	tr := New(2, 0, 8, 0)
-	tr.Begin(1, 0, 4096, 100)
-	tr.Transition(1, StageFlushed, 110)
-	tr.Transition(1, StageDispatched, 130)
-	tr.TransitionFirst(1, StageCopyStart, 160)
-	tr.TransitionFirst(1, StageCopyStart, 170) // later racer must lose
-	tr.Transition(1, StageCopyEnd, 200)
-	tr.Transition(1, StageCompleted, 210)
-	tr.ObserveQueueWait(0, 25, false)
-	tr.ObserveQueueWait(0, 40, true)
-	tr.End(1, OutcomeOK, 260)
-
-	s := tr.Snapshot()
-	if len(s.Captured) != 1 {
-		t.Fatalf("captured %d lifecycles, want 1", len(s.Captured))
-	}
-	lc := s.Captured[0]
-	wantTS := Stamps(100, 110, 130, 160, 200, 210, 260)
-	if lc.TS != wantTS {
-		t.Errorf("TS = %v, want %v", lc.TS, wantTS)
-	}
+	var f SpanFold
+	ts := Stamps(100, 110, 130, 160, 200, 210, 260)
+	f.Add(&ts, FlagStolen)
+	var set, other SpanSet
+	f.Publish(&set, &other)
+	s := set.Snapshot()
 	for span, want := range map[Span]int64{
 		SpanStagingWait:     10,
 		SpanDispatchWait:    20,
+		SpanRingWait:        30,
+		SpanStealDelay:      30,
 		SpanCopy:            40,
 		SpanCompletionDwell: 50,
 		SpanTotal:           160,
 	} {
-		h := s.Spans.Spans[span]
+		h := s.Spans[span]
 		if h.Count != 1 || h.Sum != want {
 			t.Errorf("span %s: count=%d sum=%d, want 1/%d", span, h.Count, h.Sum, want)
 		}
 	}
-	if h := s.Spans.Spans[SpanRingWait]; h.Count != 2 || h.Sum != 65 {
-		t.Errorf("ring wait: count=%d sum=%d, want 2/65", h.Count, h.Sum)
+	if other.Snapshot() != s {
+		t.Error("Publish fed its two targets different samples")
 	}
-	if h := s.Spans.Spans[SpanStealDelay]; h.Count != 1 || h.Sum != 40 {
-		t.Errorf("steal delay: count=%d sum=%d, want 1/40", h.Count, h.Sum)
+	// Inline requests never touched a ring: no ring wait, no steal delay.
+	f.Add(&ts, FlagInline|FlagStolen)
+	f.Publish(&set, &other)
+	s = set.Snapshot()
+	if c := s.Spans[SpanRingWait].Count; c != 1 {
+		t.Errorf("ring wait count = %d after an inline request, want 1", c)
+	}
+	if c := s.Spans[SpanCopy].Count; c != 2 {
+		t.Errorf("copy count = %d, want 2", c)
 	}
 }
 
+// TestMissingEndpointsSkipSpans: an ErrNoSlots-style failure goes
+// submit -> completed directly; only spans with both endpoints may
+// record.
 func TestMissingEndpointsSkipSpans(t *testing.T) {
-	// An ErrNoSlots-style failure goes submit -> completed directly;
-	// only spans with both endpoints may record.
-	tr := New(1, 0, 0, 0)
-	tr.Begin(0, 0, 0, 100)
-	tr.Transition(0, StageCompleted, 150)
-	tr.End(0, OutcomeFailed, 180)
-	s := tr.Snapshot()
-	for _, span := range []Span{SpanStagingWait, SpanDispatchWait, SpanCopy} {
-		if c := s.Spans.Spans[span].Count; c != 0 {
+	var f SpanFold
+	ts := Stamps(100, 0, 0, 0, 0, 150, 180)
+	f.Add(&ts, 0)
+	var set, other SpanSet
+	f.Publish(&set, &other)
+	s := set.Snapshot()
+	for _, span := range []Span{SpanStagingWait, SpanDispatchWait, SpanRingWait, SpanCopy} {
+		if c := s.Spans[span].Count; c != 0 {
 			t.Errorf("span %s recorded %d samples with missing endpoints", span, c)
 		}
 	}
-	if c := s.Spans.Spans[SpanCompletionDwell].Count; c != 1 {
+	if c := s.Spans[SpanCompletionDwell].Count; c != 1 {
 		t.Errorf("completion dwell count = %d, want 1", c)
 	}
-	if c := s.Spans.Spans[SpanTotal].Count; c != 1 {
+	if c := s.Spans[SpanTotal].Count; c != 1 {
 		t.Errorf("total count = %d, want 1", c)
 	}
-	if len(s.Captured) != 1 || s.Captured[0].Outcome != OutcomeFailed {
-		t.Errorf("captured = %+v", s.Captured)
-	}
 }
 
-func TestAbortAndSlotReuse(t *testing.T) {
-	tr := New(1, 0, 4, 0)
-	tr.Begin(0, 0, 0, 10)
-	tr.Abort(0)
-	if tr.Sampled(0) {
-		t.Error("slot still sampled after Abort")
-	}
-	// Reuse the slot: stale stamps must not leak into the new lifecycle.
-	tr.Begin(0, 0, 0, 50)
-	tr.Transition(0, StageFlushed, 60)
-	tr.End(0, OutcomeOK, 70)
-	s := tr.Snapshot()
-	if s.Aborted != 1 || s.Ended != 1 || s.Begun != 2 {
-		t.Errorf("begun/ended/aborted = %d/%d/%d, want 2/1/1", s.Begun, s.Ended, s.Aborted)
-	}
-	if len(s.Captured) != 1 {
-		t.Fatalf("captured %d, want 1 (aborted lifecycle must not capture)", len(s.Captured))
-	}
-	if ts := s.Captured[0].TS; ts[StageSubmit] != 50 || ts[StageDispatched] != 0 {
-		t.Errorf("stale stamps leaked across reuse: %v", ts)
-	}
-}
-
-func TestCaptureRingWrap(t *testing.T) {
-	tr := New(1, 0, 4, 0)
-	for i := int64(1); i <= 10; i++ {
-		tr.Begin(0, 0, i, i*100)
-		tr.End(0, OutcomeOK, i*100+50)
-	}
-	s := tr.Snapshot()
-	if len(s.Captured) != 4 {
-		t.Fatalf("captured %d, want ring depth 4", len(s.Captured))
-	}
-	for i, lc := range s.Captured {
-		if i > 0 && lc.Seq <= s.Captured[i-1].Seq {
-			t.Errorf("capture not in seq order: %v", s.Captured)
-		}
-		if lc.Seq < 7 {
-			t.Errorf("old lifecycle %d survived a depth-4 ring", lc.Seq)
-		}
-	}
-}
-
+// TestPerClassSpans publishes folds into per-class sets and checks the
+// merged snapshot equals what one set fed every request would hold —
+// the device-wide view is the class sets added up — and that a fold at
+// capacity reports Full.
 func TestPerClassSpans(t *testing.T) {
-	tr := New(2, 0, 4, 3)
-	run := func(slot, class int, base int64) {
-		tr.Begin(slot, class, 64, base)
-		tr.Transition(slot, StageFlushed, base+10)
-		tr.ObserveQueueWait(class, 7, false)
-		tr.End(slot, Outcome(0), base+100)
+	var classes [3]SpanSet
+	var all, tenant SpanSet
+	for i := 0; i < 300; i++ {
+		base := int64(1000 * (i + 1))
+		ts := Stamps(base, base+int64(i), base+2*int64(i), base+3*int64(i), base+4*int64(i), base+5*int64(i), base+6*int64(i))
+		var f SpanFold
+		f.Add(&ts, 0)
+		f.Publish(&classes[i%3], &tenant)
+		all.ObserveStamps(&ts)
+		all.Observe(SpanRingWait, int64(i))
 	}
-	run(0, 0, 1000)
-	run(1, 2, 2000)
-	run(0, 2, 3000)
-	s := tr.Snapshot()
-	if len(s.ClassSpans) != 3 {
-		t.Fatalf("ClassSpans len = %d, want 3", len(s.ClassSpans))
+	var merged SpanSnapshot
+	for i := range classes {
+		merged = merged.Add(classes[i].Snapshot())
 	}
-	if c := s.ClassSpans[0].Spans[SpanTotal].Count; c != 1 {
-		t.Errorf("class 0 total count = %d, want 1", c)
+	if merged != all.Snapshot() {
+		t.Errorf("merged class sets differ from one set fed every request:\n merged %v\n direct %v",
+			merged.Spans[SpanTotal], all.Snapshot().Spans[SpanTotal])
 	}
-	if c := s.ClassSpans[2].Spans[SpanTotal].Count; c != 2 {
-		t.Errorf("class 2 total count = %d, want 2", c)
+	if tenant.Snapshot() != merged {
+		t.Error("tenant set differs from the merged class sets")
 	}
-	if c := s.ClassSpans[1].Spans[SpanTotal].Count; c != 0 {
-		t.Errorf("class 1 total count = %d, want 0", c)
+	if c := classes[1].Snapshot().Spans[SpanTotal].Count; c != 100 {
+		t.Errorf("class 1 total count = %d, want 100", c)
 	}
-	if c := s.ClassSpans[2].Spans[SpanRingWait].Count; c != 2 {
-		t.Errorf("class 2 ring wait count = %d, want 2", c)
+	var f SpanFold
+	ts := Stamps(1, 2, 3, 4, 5, 6, 7)
+	for !f.Full() {
+		f.Add(&ts, 0)
 	}
-	// The global spans see everything regardless of class.
-	if c := s.Spans.Spans[SpanTotal].Count; c != 3 {
-		t.Errorf("global total count = %d, want 3", c)
-	}
-	// Captured lifecycles carry their class.
-	classes := map[int]int{}
-	for _, lc := range s.Captured {
-		classes[lc.Class]++
-	}
-	if classes[0] != 1 || classes[2] != 2 {
-		t.Errorf("captured classes = %v, want {0:1, 2:2}", classes)
+	f.Publish(&all, &tenant)
+	if f.Full() {
+		t.Error("Publish left the fold full")
 	}
 }
 
@@ -191,46 +118,27 @@ func TestNegativeDurationClamped(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	var tr *Tracer
-	if tr.Begin(0, 0, 0, 1) || tr.Sampled(0) {
-		t.Error("nil tracer claims sampling")
-	}
-	tr.Transition(0, StageFlushed, 1)
-	tr.TransitionFirst(0, StageCopyStart, 1)
-	tr.ObserveQueueWait(0, 1, true)
-	tr.Abort(0)
-	tr.End(0, OutcomeOK, 1)
-	if s := tr.Snapshot(); s.Enabled || s.SampleShift != -1 {
-		t.Errorf("nil snapshot = %+v", s)
-	}
-	if tr.SampleShift() != -1 {
-		t.Error("nil SampleShift != -1")
-	}
 	var ss *SpanSet
 	ss.Observe(SpanCopy, 1)
 	ts := Stamps(1, 2, 3, 4, 5, 6, 7)
 	ss.ObserveStamps(&ts)
-	_ = ss.Snapshot()
-	if New(0, 0, 0, 0) != nil || New(10, -1, 0, 0) != nil {
-		t.Error("disabled configs must return nil")
+	if s := ss.Snapshot(); s.Spans[SpanTotal].Count != 0 {
+		t.Errorf("nil snapshot = %+v", s)
 	}
 }
 
 func TestChromeTraceJSON(t *testing.T) {
-	tr := New(2, 0, 8, 0)
+	var lcs []Lifecycle
 	for slot := 0; slot < 2; slot++ {
 		base := int64(1000 * (slot + 1))
-		tr.Begin(slot, 0, 4096, base)
-		tr.Transition(slot, StageFlushed, base+10)
-		tr.Transition(slot, StageDispatched, base+20)
-		tr.Transition(slot, StageCopyStart, base+30)
-		tr.Transition(slot, StageCopyEnd, base+90)
-		tr.Transition(slot, StageCompleted, base+95)
-		tr.End(slot, OutcomeOK, base+120)
+		lcs = append(lcs, Lifecycle{
+			Seq: uint64(slot + 1), Slot: slot, Bytes: 4096, Outcome: OutcomeOK,
+			TS: Stamps(base, base+10, base+20, base+30, base+90, base+95, base+120),
+		})
 	}
 	blob, err := ChromeTraceGroupsJSON([]TraceGroup{
-		{Process: "a", Lifecycles: tr.Snapshot().Captured},
-		{Process: "b", Lifecycles: tr.Snapshot().Captured},
+		{Process: "a", Lifecycles: lcs},
+		{Process: "b", Lifecycles: lcs},
 	})
 	if err != nil {
 		t.Fatal(err)

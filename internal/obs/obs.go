@@ -75,10 +75,13 @@ func (g *Gauge) Load() int64 { return g.max.Load() }
 const NumBuckets = 48
 
 // Histogram is a lock-free power-of-two histogram. The zero value is
-// ready to use.
+// ready to use. It keeps no separate sample count: Snapshot derives
+// Count from the buckets it read, so a snapshot taken under concurrent
+// writes is always self-consistent (cumulative buckets end exactly at
+// Count), and Observe costs two atomic adds.
 type Histogram struct {
-	buckets    [NumBuckets]atomic.Int64
-	count, sum atomic.Int64
+	buckets [NumBuckets]atomic.Int64
+	sum     atomic.Int64
 }
 
 // bucketOf maps a sample to its bucket index.
@@ -104,29 +107,73 @@ func BucketUpper(i int) int64 {
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
-// Snapshot captures the histogram state. The capture is per-field atomic
-// but not globally consistent under concurrent writes — counts may be
-// off by the handful of samples in flight, which is fine for the
-// diagnostic uses this package serves.
+// Snapshot captures the histogram state. Each field is read atomically
+// but the capture is not a global instant under concurrent writes: Sum
+// may be off by the handful of samples in flight, which is fine for the
+// diagnostic uses this package serves. Count is the sum of the captured
+// buckets, so the two always agree.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-	}
+	s := HistogramSnapshot{Sum: h.sum.Load()}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
+}
+
+// Tally is a goroutine-local Histogram batch: Observe is plain
+// arithmetic, and Publish merges the batch into shared Histograms with
+// one atomic add per occupied bucket plus one, instead of two per
+// sample. Its per-bucket counts are bytes, so a Tally holds at most
+// MaxTally samples; zero it to start a new batch. Not safe for
+// concurrent use.
+type Tally struct {
+	occupied uint64 // bit i set: n[i] != 0
+	sum      int64
+	n        [NumBuckets]uint8
+}
+
+// MaxTally is the sample capacity of a Tally.
+const MaxTally = 255
+
+// Observe records one sample into the batch.
+func (t *Tally) Observe(v int64) {
+	b := bucketOf(v)
+	t.occupied |= 1 << uint(b)
+	t.n[b]++
+	t.sum += v
+}
+
+// Publish merges the batch into h. It leaves the batch intact, so one
+// batch can feed several histograms.
+func (t *Tally) Publish(h *Histogram) {
+	for m := t.occupied; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		h.buckets[b].Add(int64(t.n[b]))
+	}
+	if t.sum != 0 {
+		h.sum.Add(t.sum)
+	}
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.
 type HistogramSnapshot struct {
 	Count, Sum int64
 	Buckets    [NumBuckets]int64
+}
+
+// Add returns the union of two snapshots' samples — the merge of
+// histograms kept per shard (per class, per tenant) into one.
+func (s HistogramSnapshot) Add(o HistogramSnapshot) HistogramSnapshot {
+	s.Count += o.Count
+	s.Sum += o.Sum
+	for i := range s.Buckets {
+		s.Buckets[i] += o.Buckets[i]
+	}
+	return s
 }
 
 // Delta returns the samples accumulated between prev and s — the

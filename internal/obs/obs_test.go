@@ -57,6 +57,53 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestTallyPublishMatchesObserve: a locally tallied batch published
+// into two histograms lands exactly as per-sample Observe would, and a
+// snapshot taken while writers race stays self-consistent (Count is
+// the bucket total).
+func TestTallyPublishMatchesObserve(t *testing.T) {
+	var direct, a, b Histogram
+	var tl Tally
+	for i := int64(-3); i < MaxTally-3; i++ {
+		v := i * i * 37
+		direct.Observe(v)
+		tl.Observe(v)
+	}
+	tl.Publish(&a)
+	tl.Publish(&b)
+	if want := direct.Snapshot(); a.Snapshot() != want || b.Snapshot() != want {
+		t.Fatalf("published %v / %v, want %v", a.Snapshot(), b.Snapshot(), want)
+	}
+
+	var h Histogram
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := int64(0); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(v % 5000)
+			}
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		s := h.Snapshot()
+		var sum int64
+		for _, n := range s.Buckets {
+			sum += n
+		}
+		if sum != s.Count {
+			t.Fatalf("snapshot buckets total %d, Count %d", sum, s.Count)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := int64(1); i <= 1000; i++ {

@@ -89,27 +89,19 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 			gauge("memif_realtime_tenant_queue_depth", "Live flushed-but-not-dispatched requests by tenant.", tlb, ts.QueueDepth),
 			hist("memif_realtime_tenant_request_latency_ns", "Submission-to-completion latency by tenant (ns).", tlb, ts.Latency),
 		)
-		if s.Lifecycle.Enabled {
+		if s.Flight.Enabled {
 			ms = append(ms, SpanMetrics("memif_realtime_tenant_stage_latency_ns",
-				"Per-stage latency attribution of sampled requests by tenant (ns).", tlb, ts.Spans)...)
-		}
-	}
-	if s.Lifecycle.Enabled {
-		ms = append(ms,
-			gauge("memif_realtime_trace_sample_shift", "Lifecycle sampling shift: 1 request in 2^shift is traced.", lb, int64(s.Lifecycle.SampleShift)),
-			counter("memif_realtime_trace_begun_total", "Sampled lifecycles opened.", lb, s.Lifecycle.Begun),
-			counter("memif_realtime_trace_ended_total", "Sampled lifecycles completed through retrieval.", lb, s.Lifecycle.Ended),
-			counter("memif_realtime_trace_aborted_total", "Sampled lifecycles abandoned by failed submissions.", lb, s.Lifecycle.Aborted),
-		)
-		ms = append(ms, SpanMetrics("memif_realtime_stage_latency_ns",
-			"Per-stage latency attribution of sampled requests (ns).", lb, s.Lifecycle.Spans)...)
-		for c, sp := range s.Lifecycle.ClassSpans {
-			clb := append(append([]Label(nil), lb...), Label{"class", realtime.ClassName(c)})
-			ms = append(ms, SpanMetrics("memif_realtime_class_stage_latency_ns",
-				"Per-stage latency attribution of sampled requests by priority class (ns).", clb, sp)...)
+				"Per-stage latency attribution of every retrieved request by tenant (ns).", tlb, ts.Spans)...)
 		}
 	}
 	if s.Flight.Enabled {
+		ms = append(ms, SpanMetrics("memif_realtime_stage_latency_ns",
+			"Per-stage latency attribution of every retrieved request (ns).", lb, s.Lifecycle.Spans)...)
+		for c, sp := range s.Lifecycle.ClassSpans {
+			clb := append(append([]Label(nil), lb...), Label{"class", realtime.ClassName(c)})
+			ms = append(ms, SpanMetrics("memif_realtime_class_stage_latency_ns",
+				"Per-stage latency attribution of every retrieved request by priority class (ns).", clb, sp)...)
+		}
 		tenantName := func(t int) string {
 			if t >= 0 && t < len(s.Tenants) {
 				return s.Tenants[t].Name

@@ -1,14 +1,14 @@
 // Package obshttp is the export and serving layer over the obs /
 // lifecycle instruments: it renders metric snapshots in the Prometheus
-// text exposition format, renders captured request lifecycles as Chrome
-// trace_event JSON, and serves both — plus the Go runtime profiles —
-// from one http.Handler:
+// text exposition format, renders flight-recorder outliers as JSON and
+// as Chrome trace_event timelines, and serves them — plus the Go
+// runtime profiles — from one http.Handler:
 //
 //	/metrics               Prometheus text format (scrapable)
-//	/trace                 Chrome trace_event JSON (chrome://tracing, Perfetto)
 //	/debug/outliers        flight-recorder snapshots as JSON (captured
 //	                       outliers, stall reports, thresholds, SLO burn)
-//	/debug/outliers/trace  the captured outliers as Chrome trace JSON
+//	/debug/outliers/trace  the captured outliers as Chrome trace_event JSON
+//	                       (chrome://tracing, Perfetto)
 //	/debug/pprof/*         the standard Go profiles
 //
 // The package deliberately pulls, never pushes: collectors are closures
@@ -76,13 +76,6 @@ type Metric struct {
 // Collector produces a metric batch at scrape time.
 type Collector func() []Metric
 
-// TraceSource produces the captured lifecycles of one subsystem at
-// /trace render time; Process names its row in the Chrome timeline.
-type TraceSource struct {
-	Process  string
-	Snapshot func() []lifecycle.Lifecycle
-}
-
 // OutlierSource produces one subsystem's flight-recorder snapshot at
 // /debug/outliers render time.
 type OutlierSource struct {
@@ -90,13 +83,12 @@ type OutlierSource struct {
 	Snapshot func() flight.Snapshot
 }
 
-// Handler serves /metrics, /trace, /debug/outliers and /debug/pprof/*
+// Handler serves /metrics, /debug/outliers and /debug/pprof/*
 // for a set of registered collectors and sources. The zero value is
 // usable; registration is safe concurrently with serving.
 type Handler struct {
 	mu         sync.RWMutex
 	collectors []Collector
-	traces     []TraceSource
 	outliers   []OutlierSource
 }
 
@@ -107,14 +99,6 @@ func NewHandler() *Handler { return &Handler{} }
 func (h *Handler) Register(c Collector) {
 	h.mu.Lock()
 	h.collectors = append(h.collectors, c)
-	h.mu.Unlock()
-}
-
-// RegisterTrace adds a lifecycle source, one Chrome process row per
-// source, rendered on every /trace request.
-func (h *Handler) RegisterTrace(process string, fn func() []lifecycle.Lifecycle) {
-	h.mu.Lock()
-	h.traces = append(h.traces, TraceSource{Process: process, Snapshot: fn})
 	h.mu.Unlock()
 }
 
@@ -147,19 +131,6 @@ func (h *Handler) MetricsText() []byte {
 	return []byte(b.String())
 }
 
-// TraceJSON renders the current captured lifecycles of every source as
-// one Chrome trace_event JSON document.
-func (h *Handler) TraceJSON() ([]byte, error) {
-	h.mu.RLock()
-	srcs := h.traces
-	h.mu.RUnlock()
-	groups := make([]lifecycle.TraceGroup, 0, len(srcs))
-	for _, s := range srcs {
-		groups = append(groups, lifecycle.TraceGroup{Process: s.Process, Lifecycles: s.Snapshot()})
-	}
-	return lifecycle.ChromeTraceGroupsJSON(groups)
-}
-
 // OutlierReport is one source's entry in the /debug/outliers document.
 type OutlierReport struct {
 	Source string          `json:"source"`
@@ -186,9 +157,9 @@ func (h *Handler) OutliersJSON() ([]byte, error) {
 
 // OutliersTraceJSON renders the captured latency outliers of every
 // flight source as Chrome trace_event JSON: each breaching request's
-// stamp vector becomes a span row, so the tail can be eyeballed on the
-// same timeline view as the sampled /trace export. Stall and event
-// records carry no stamp vector and are skipped.
+// stamp vector becomes a span row, so the tail can be eyeballed on a
+// timeline. Stall and event records carry no stamp vector and are
+// skipped.
 func (h *Handler) OutliersTraceJSON() ([]byte, error) {
 	h.mu.RLock()
 	srcs := h.outliers
@@ -197,47 +168,18 @@ func (h *Handler) OutliersTraceJSON() ([]byte, error) {
 	for _, s := range srcs {
 		groups = append(groups, lifecycle.TraceGroup{
 			Process:    s.Source + " outliers",
-			Lifecycles: outlierLifecycles(s.Snapshot()),
+			Lifecycles: flight.Lifecycles(s.Snapshot().Outliers),
 		})
 	}
 	return lifecycle.ChromeTraceGroupsJSON(groups)
 }
 
-// outlierLifecycles converts captured latency outliers back into the
-// lifecycle shape the Chrome exporter renders.
-func outlierLifecycles(s flight.Snapshot) []lifecycle.Lifecycle {
-	var out []lifecycle.Lifecycle
-	for _, o := range s.Outliers {
-		if o.Kind != flight.KindLatency || o.TS[lifecycle.StageSubmit] == 0 {
-			continue
-		}
-		out = append(out, lifecycle.Lifecycle{
-			Seq:     o.Seq,
-			Slot:    int(o.Slot),
-			Class:   int(o.Class),
-			Bytes:   o.Bytes,
-			Outcome: lifecycle.Outcome(o.Outcome),
-			Flags:   o.Flags,
-			TS:      o.TS,
-		})
-	}
-	return out
-}
-
-// ServeHTTP routes /metrics, /trace, /debug/outliers and /debug/pprof/*.
+// ServeHTTP routes /metrics, /debug/outliers and /debug/pprof/*.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch p := r.URL.Path; {
 	case p == "/metrics":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write(h.MetricsText())
-	case p == "/trace":
-		body, err := h.TraceJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
 	case p == "/debug/outliers":
 		body, err := h.OutliersJSON()
 		if err != nil {
@@ -269,7 +211,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	case p == "/" || p == "":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "memif observability endpoints:\n  /metrics\n  /trace\n  /debug/outliers\n  /debug/outliers/trace\n  /debug/pprof/\n")
+		io.WriteString(w, "memif observability endpoints:\n  /metrics\n  /debug/outliers\n  /debug/outliers/trace\n  /debug/pprof/\n")
 	default:
 		http.NotFound(w, r)
 	}

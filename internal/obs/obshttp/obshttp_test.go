@@ -2,7 +2,6 @@ package obshttp
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -123,17 +122,12 @@ func runRealtimeBurst(t *testing.T, d *realtime.Device, n int) {
 }
 
 func TestHandlerEndpointsLiveDevice(t *testing.T) {
-	opts := realtime.DefaultOptions()
-	opts.TraceFullCapture = true
-	d := realtime.Open(opts)
+	d := realtime.Open(realtime.DefaultOptions())
 	defer d.Close()
 	runRealtimeBurst(t, d, 64)
 
 	h := NewHandler()
 	h.Register(RealtimeCollector("rt0", d))
-	h.RegisterTrace("realtime", func() []lifecycle.Lifecycle {
-		return d.Stats().Lifecycle.Captured
-	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -145,13 +139,16 @@ func TestHandlerEndpointsLiveDevice(t *testing.T) {
 		`memif_realtime_submitted_total{device="rt0"} 64`,
 		`memif_realtime_stage_latency_ns_bucket{device="rt0",stage="staging_wait",le="+Inf"}`,
 		`memif_realtime_stage_latency_ns_count{device="rt0",stage="completion_dwell"}`,
-		`memif_realtime_trace_sample_shift{device="rt0"} 0`,
+		`memif_realtime_stage_latency_ns_count{device="rt0",stage="total"} 64`,
+		`memif_realtime_class_stage_latency_ns_count{device="rt0",class="foreground",stage="total"} 64`,
+		`memif_realtime_tenant_stage_latency_ns_count{device="rt0",tenant="default",stage="total"} 64`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// Full capture: every stage-pair span must have samples.
+	// Every retrieved request feeds the spans: each stage-pair span must
+	// have samples, and no memif_realtime_trace_* series is emitted.
 	for _, stage := range []string{"staging_wait", "dispatch_wait", "copy", "completion_dwell", "total"} {
 		prefix := fmt.Sprintf("memif_realtime_stage_latency_ns_count{device=\"rt0\",stage=%q} ", stage)
 		line := findLine(string(body), prefix)
@@ -159,26 +156,8 @@ func TestHandlerEndpointsLiveDevice(t *testing.T) {
 			t.Errorf("span %s has no samples (line %q)", stage, line)
 		}
 	}
-
-	trace := httpGet(t, srv.URL+"/trace")
-	var doc struct {
-		TraceEvents []struct {
-			Name  string  `json:"name"`
-			Phase string  `json:"ph"`
-			Dur   float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(trace, &doc); err != nil {
-		t.Fatalf("/trace not valid JSON: %v", err)
-	}
-	var spans int
-	for _, ev := range doc.TraceEvents {
-		if ev.Phase == "X" {
-			spans++
-		}
-	}
-	if spans == 0 {
-		t.Fatalf("/trace has no complete events in %d events", len(doc.TraceEvents))
+	if strings.Contains(string(body), "memif_realtime_trace_") {
+		t.Error("/metrics still carries memif_realtime_trace_* series")
 	}
 
 	for _, path := range []string{"/", "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
@@ -192,11 +171,15 @@ func TestHandlerEndpointsLiveDevice(t *testing.T) {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
 	}
-	if resp, err := http.Get(srv.URL + "/nope"); err == nil {
+	for _, path := range []string{"/nope", "/trace"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET /nope: status %d, want 404", resp.StatusCode)
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
@@ -339,9 +322,7 @@ func TestScrapeWhileSubmitting(t *testing.T) {
 
 	h := NewHandler()
 	h.Register(RealtimeCollector("rt0", d))
-	h.RegisterTrace("realtime", func() []lifecycle.Lifecycle {
-		return d.Stats().Lifecycle.Captured
-	})
+	h.RegisterOutliers("realtime", d.FlightSnapshot)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -386,7 +367,7 @@ func TestScrapeWhileSubmitting(t *testing.T) {
 			if err := ParseExposition(body); err != nil {
 				t.Fatalf("scrape %d invalid mid-traffic: %v", scrapes, err)
 			}
-			if _, err := h.TraceJSON(); err != nil {
+			if _, err := h.OutliersTraceJSON(); err != nil {
 				t.Fatalf("trace render %d failed: %v", scrapes, err)
 			}
 			scrapes++

@@ -94,34 +94,39 @@ func (d *Device) submitBatch(reqs []*Request) error {
 // so concurrent batch pollers spread over the rings instead of
 // serializing on one head.
 func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
-	n := 0
+	if len(buf) == 0 {
+		return 0
+	}
 	start := d.pollerRing()
+	idx, ok := d.popCompletion(start)
+	if !ok {
+		return 0 // an empty call pays for no accumulator
+	}
 	// One clock read and one accumulator flush serve the whole batch's
-	// flight accounting: the retrieve timestamp is read at the first
-	// completion (an empty call costs nothing) and every request's lane
-	// and SLO arithmetic folds locally until Flush. Batch-level
-	// staleness only shifts breach latencies by microseconds; the
-	// sampled lifecycles inside lcEnd still read fresh clocks.
+	// flight accounting: every request's span, lane and SLO arithmetic
+	// folds locally until Flush. Batch-level staleness only shifts
+	// retrieve stamps by microseconds.
 	var acc flight.Acc
 	acc.Init(d.fr)
 	var nano int64
-	for n < len(buf) {
-		idx, ok := d.popCompletion(start)
-		if !ok {
-			break
-		}
+	if d.fr != nil {
+		nano = time.Now().UnixNano()
+	}
+	n := 0
+	for ok {
 		if r, valid := d.req(idx); valid {
 			d.m.retrieved.Inc()
-			if nano == 0 && d.fr != nil {
-				nano = time.Now().UnixNano()
-			}
 			d.lcEnd(r, nano, &acc)
 			buf[n] = r
 			n++
 		}
+		if n == len(buf) {
+			break
+		}
+		idx, ok = d.popCompletion(start)
 	}
 	acc.Flush()
-	if n > 0 && !d.completionEmpty() {
+	if !d.completionEmpty() {
 		d.wake() // keep concurrent pollers from sleeping past the rest
 	}
 	return n

@@ -11,17 +11,15 @@ import (
 )
 
 // The retroactive-capture acceptance check, end to end on a live device:
-// with the lifecycle tracer completely off (negative sample shift) the
-// flight recorder must still catch every breaching request and
-// synthesize a complete, monotone seven-stage stamp vector for it from
-// the armed Request-field stamps — no sampling holes, and captured ==
-// breaches exactly when the watchdog contributes no stall records.
+// the flight recorder must catch every breaching request and assemble a
+// complete, monotone seven-stage stamp vector for it from the armed
+// Request-field stamps — no sampling holes, and captured == breaches
+// exactly when the watchdog contributes no stall records.
 func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 	var delayCopies atomic.Bool
 	d := Open(Options{
 		NumReqs: 32, Controllers: 2, StagingShards: 2,
-		ChunkBytes:       16 << 10,
-		TraceSampleShift: -1, // tracer off: every breach takes the synthesized path
+		ChunkBytes: 16 << 10,
 		Flight: flight.Options{
 			Warmup:   4,
 			Watchdog: flight.WatchdogOptions{Disable: true},
@@ -96,7 +94,7 @@ func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 		}
 		for st := 0; st < lifecycle.NumStages; st++ {
 			if o.TS[st] <= 0 {
-				t.Fatalf("stage %d missing from synthesized vector: %+v", st, o.TS)
+				t.Fatalf("stage %d missing from the stamp vector: %+v", st, o.TS)
 			}
 			if st > 0 && o.TS[st] < o.TS[st-1] {
 				t.Fatalf("stage %d not monotone: %+v", st, o.TS)
@@ -109,8 +107,7 @@ func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 	if latency != fs.Breaches {
 		t.Fatalf("ring retains %d latency records, want all %d breaches", latency, fs.Breaches)
 	}
-	// The multi-window SLO tracker must have seen the whole run even
-	// with the tracer off.
+	// The multi-window SLO tracker must have seen the whole run.
 	var total int64
 	for _, cs := range fs.SLO.Classes {
 		total += cs.Total
@@ -127,7 +124,6 @@ func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 func TestFlightSkipsUnstagedRequests(t *testing.T) {
 	d := Open(Options{
 		NumReqs: 8, Controllers: 1, StagingShards: 1,
-		TraceSampleShift: -1,
 		Flight: flight.Options{
 			Warmup:   1,
 			Watchdog: flight.WatchdogOptions{Disable: true},

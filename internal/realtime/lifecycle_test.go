@@ -13,41 +13,30 @@ import (
 	"memif/internal/obs/lifecycle"
 )
 
-// checkMonotone asserts the stamped subset of a lifecycle's stages is
-// non-decreasing in stage order — the core tracer invariant: whatever
-// path a request takes (clean, canceled, failed, stolen chunks), time
-// can only move forward through its stamps.
-func checkMonotone(t *testing.T, lc lifecycle.Lifecycle) {
+// checkMonotone asserts a request's assembled stage vector is complete
+// and non-decreasing in stage order — the core stamping invariant:
+// whatever path a request takes (clean, canceled, failed, stolen
+// chunks), time can only move forward through its stamps.
+func checkMonotone(t *testing.T, r *Request) {
 	t.Helper()
-	last := int64(0)
-	lastStage := lifecycle.Stage(0)
+	ts, _ := r.stamps(r.submitted.Load(), time.Now().UnixNano())
 	for st := 0; st < lifecycle.NumStages; st++ {
-		ts := lc.TS[st]
-		if ts == 0 {
-			continue
+		if ts[st] == 0 {
+			t.Errorf("slot %d: stage %v unstamped: %v", r.idx, lifecycle.Stage(st), ts)
 		}
-		if ts < last {
-			t.Errorf("lifecycle seq %d (slot %d, %v): stage %v at %d precedes %v at %d",
-				lc.Seq, lc.Slot, lc.Outcome, lifecycle.Stage(st), ts, lastStage, last)
+		if st > 0 && ts[st] < ts[st-1] {
+			t.Errorf("slot %d: stage %v at %d precedes %v at %d",
+				r.idx, lifecycle.Stage(st), ts[st], lifecycle.Stage(st-1), ts[st-1])
 		}
-		last, lastStage = ts, lifecycle.Stage(st)
-	}
-	if lc.TS[lifecycle.StageSubmit] == 0 {
-		t.Errorf("lifecycle seq %d has no submit stamp", lc.Seq)
-	}
-	if lc.TS[lifecycle.StageRetrieved] == 0 {
-		t.Errorf("lifecycle seq %d has no retrieved stamp", lc.Seq)
 	}
 }
 
 // TestLifecycleCleanPipelineFullStamps checks that on an unchaotic
-// chunked run every captured lifecycle carries all seven stamps in
-// order and the span histograms cover every attribution bucket.
+// chunked run every request's stage vector is complete and ordered,
+// marked as a ring-path copy, and that the span histograms cover every
+// attribution bucket with one total per retrieved request.
 func TestLifecycleCleanPipelineFullStamps(t *testing.T) {
-	d := Open(Options{
-		NumReqs: 32, Controllers: 2, StagingShards: 2, ChunkBytes: 8 << 10,
-		TraceFullCapture: true, TraceCaptureDepth: 128,
-	})
+	d := Open(Options{NumReqs: 32, Controllers: 2, StagingShards: 2, ChunkBytes: 8 << 10})
 	defer d.Close()
 
 	const n = 64
@@ -65,55 +54,147 @@ func TestLifecycleCleanPipelineFullStamps(t *testing.T) {
 			t.Fatal("Poll timed out")
 		}
 		for got := d.RetrieveCompleted(); got != nil; got = d.RetrieveCompleted() {
+			checkMonotone(t, got)
+			if got.inline {
+				t.Errorf("slot %d: a 4-chunk request marked inline", got.idx)
+			}
 			d.FreeRequest(got)
 			done++
 		}
 	}
 
 	s := d.Stats().Lifecycle
-	if !s.Enabled || s.SampleShift != 0 {
-		t.Fatalf("full capture not enabled: %+v", s)
-	}
-	if s.Begun != n || s.Ended != n {
-		t.Errorf("begun/ended = %d/%d, want %d/%d", s.Begun, s.Ended, n, n)
-	}
-	if len(s.Captured) != n {
-		t.Fatalf("captured %d lifecycles, want %d", len(s.Captured), n)
-	}
-	for _, lc := range s.Captured {
-		checkMonotone(t, lc)
-		for st := 0; st < lifecycle.NumStages; st++ {
-			if lc.TS[st] == 0 {
-				t.Errorf("clean lifecycle seq %d missing stage %v", lc.Seq, lifecycle.Stage(st))
-			}
-		}
-		if lc.Outcome != lifecycle.OutcomeOK {
-			t.Errorf("clean lifecycle seq %d outcome %v", lc.Seq, lc.Outcome)
-		}
-		if lc.Bytes != int64(len(src)) {
-			t.Errorf("lifecycle seq %d bytes %d, want %d", lc.Seq, lc.Bytes, len(src))
-		}
-	}
 	for _, span := range []lifecycle.Span{
 		lifecycle.SpanStagingWait, lifecycle.SpanDispatchWait, lifecycle.SpanRingWait,
 		lifecycle.SpanCopy, lifecycle.SpanCompletionDwell, lifecycle.SpanTotal,
 	} {
-		if c := s.Spans.Spans[span].Count; c == 0 {
-			t.Errorf("span %v has no samples on a fully sampled run", span)
+		if c := s.Spans.Spans[span].Count; c != n {
+			t.Errorf("span %v has %d samples, want one per request (%d)", span, c, n)
 		}
 	}
 }
 
+// TestLifecycleSpansCountEveryRequest pins the exact-accounting claim:
+// after N retrieved requests across classes and tenants, the device's
+// total span holds N samples, the per-class sets add up to the device
+// set, and so do the per-tenant sets.
+func TestLifecycleSpansCountEveryRequest(t *testing.T) {
+	d := Open(Options{NumReqs: 64, Controllers: 2, StagingShards: 2})
+	defer d.Close()
+	ten, err := d.OpenTenant(TenantConfig{Name: "t1", SlotQuota: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds, batch = 12, 8
+	// Sizes of 6..48 KB straddle the default inline threshold, so both
+	// the inline and the ring path feed the spans.
+	src := make([]byte, 48<<10)
+	buf := make([]*Request, batch)
+	retrieved := 0
+	for round := 0; round < rounds; round++ {
+		reqs := make([]*Request, batch)
+		for i := range reqs {
+			r := d.AllocRequest()
+			size := (i + 1) * 6 << 10
+			r.Src, r.Dst = src[:size], make([]byte, size)
+			r.Class = Class(i % NumClasses)
+			reqs[i] = r
+		}
+		submit := d.SubmitBatch
+		if round%2 == 1 {
+			submit = ten.SubmitBatch
+		}
+		if err := submit(reqs); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < batch; {
+			k := d.RetrieveCompletedBatch(buf)
+			for _, r := range buf[:k] {
+				if r.Err != nil {
+					t.Fatalf("request failed: %v", r.Err)
+				}
+				d.FreeRequest(r)
+			}
+			got += k
+			if k == 0 {
+				d.Poll(10 * time.Millisecond)
+			}
+		}
+		retrieved += batch
+	}
+
+	st := d.Stats()
+	all := st.Lifecycle.Spans
+	if c := all.Spans[lifecycle.SpanTotal].Count; c != int64(retrieved) {
+		t.Fatalf("total span count = %d, want %d retrieved requests", c, retrieved)
+	}
+	if len(st.Lifecycle.ClassSpans) != NumClasses {
+		t.Fatalf("ClassSpans len = %d, want %d", len(st.Lifecycle.ClassSpans), NumClasses)
+	}
+	var classes, tenants lifecycle.SpanSnapshot
+	for _, cs := range st.Lifecycle.ClassSpans {
+		if cs.Spans[lifecycle.SpanTotal].Count == 0 {
+			t.Error("a class that carried requests has no spans")
+		}
+		classes = classes.Add(cs)
+	}
+	for _, ts := range st.Tenants {
+		if ts.Spans.Spans[lifecycle.SpanTotal].Count != int64(retrieved/2) {
+			t.Errorf("tenant %s total = %d, want %d", ts.Name, ts.Spans.Spans[lifecycle.SpanTotal].Count, retrieved/2)
+		}
+		tenants = tenants.Add(ts.Spans)
+	}
+	if classes != all {
+		t.Error("class span sets do not add up to the device set")
+	}
+	if tenants != all {
+		t.Error("tenant span sets do not add up to the device set")
+	}
+}
+
+// TestArmedStampsFreshAfterIdleGaps pins the idle-clock fix: the worker
+// and controller clocks are amortized across stamps, and an idle gap
+// must not leave them stale. Sequential ring-path requests with a 2 ms
+// pause every five: the first request after each pause must carry
+// dispatch and copy-start stamps no older than its own submit stamp.
+func TestArmedStampsFreshAfterIdleGaps(t *testing.T) {
+	d := Open(Options{NumReqs: 8, Controllers: 1, QoS: QoSOptions{InlineThreshold: -1}})
+	defer d.Close()
+
+	src := make([]byte, 4<<10)
+	dst := make([]byte, len(src))
+	for i := 0; i < 40; i++ {
+		gap := i%5 == 0
+		if gap {
+			time.Sleep(2 * time.Millisecond)
+		}
+		r := d.AllocRequest()
+		r.Src, r.Dst = src, dst
+		if err := d.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+		got := drainAll(t, d, 1)[0]
+		sub := got.submitted.Load()
+		if gap && got.dispatchedNs < sub {
+			t.Errorf("request %d: dispatch stamp %.1fµs before submit", i, float64(sub-got.dispatchedNs)/1e3)
+		}
+		if cs := got.copyStartNs.Load(); gap && cs < sub {
+			t.Errorf("request %d: copy-start stamp %.1fµs before submit", i, float64(sub-cs)/1e3)
+		}
+		d.FreeRequest(got)
+	}
+}
+
 // TestLifecycleMonotoneUnderCancelChaos freezes the controllers, lands
-// a cancel storm mid-pipeline, releases, and requires every captured
-// lifecycle — clean or canceled — to keep monotone stamps and a
-// matching outcome.
+// a cancel storm mid-pipeline, releases, and requires every request —
+// clean or canceled — to keep a complete monotone stage vector, and the
+// spans to count every request's total but only the clean ones' copies.
 func TestLifecycleMonotoneUnderCancelChaos(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
 		NumReqs: 32, Controllers: 2, ChunkBytes: 1 << 10,
-		TraceFullCapture: true,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 		},
@@ -140,46 +221,38 @@ func TestLifecycleMonotoneUnderCancelChaos(t *testing.T) {
 	once.Do(func() { close(stall) })
 	got := drainAll(t, d, n)
 
-	s := d.Stats().Lifecycle
-	if len(s.Captured) != n {
-		t.Fatalf("captured %d lifecycles, want %d", len(s.Captured), n)
-	}
 	okCount, canceledCount := 0, 0
-	for _, lc := range s.Captured {
-		checkMonotone(t, lc)
-		switch lc.Outcome {
-		case lifecycle.OutcomeOK:
+	for _, r := range got {
+		checkMonotone(t, r)
+		switch {
+		case r.Err == nil:
 			okCount++
-		case lifecycle.OutcomeCanceled:
+		case errors.Is(r.Err, ErrCanceled):
 			canceledCount++
 		default:
-			t.Errorf("unexpected outcome %v for seq %d", lc.Outcome, lc.Seq)
-		}
-	}
-	if canceledCount == 0 {
-		t.Error("cancel storm produced no canceled lifecycles")
-	}
-	wantCanceled := 0
-	for _, r := range got {
-		if errors.Is(r.Err, ErrCanceled) {
-			wantCanceled++
+			t.Errorf("unexpected outcome %v for slot %d", r.Err, r.idx)
 		}
 		d.FreeRequest(r)
 	}
-	if canceledCount != wantCanceled {
-		t.Errorf("captured %d canceled lifecycles, device reports %d", canceledCount, wantCanceled)
+	if canceledCount == 0 {
+		t.Error("cancel storm produced no canceled requests")
 	}
-	_ = okCount
+	s := d.Stats().Lifecycle
+	if c := s.Spans.Spans[lifecycle.SpanTotal].Count; c != n {
+		t.Errorf("total span count = %d, want %d", c, n)
+	}
+	if c := s.Spans.Spans[lifecycle.SpanCopy].Count; c != int64(okCount) {
+		t.Errorf("copy span count = %d, want only the %d clean requests", c, okCount)
+	}
 }
 
 // TestLifecycleErrNoSlotsPath forces the staging→submission flush to
 // exhaust: requests complete with ErrNoSlots having never been
-// dispatched, and their lifecycles must reflect that — failed outcome,
-// no dispatch/copy stamps, still monotone.
+// dispatched, and the spans must reflect that — a total and a dwell per
+// request, no dispatch or copy samples for stages never reached.
 func TestLifecycleErrNoSlotsPath(t *testing.T) {
 	d := Open(Options{
 		NumReqs: 8, Controllers: 1, StagingShards: 1,
-		TraceFullCapture: true,
 		Chaos: &ChaosHooks{
 			FlushEnqueue: func(idx uint32) bool { return true },
 		},
@@ -198,6 +271,7 @@ func TestLifecycleErrNoSlotsPath(t *testing.T) {
 	got := drainAll(t, d, n)
 	failed := 0
 	for _, r := range got {
+		checkMonotone(t, r)
 		if errors.Is(r.Err, ErrNoSlots) {
 			failed++
 		}
@@ -207,59 +281,20 @@ func TestLifecycleErrNoSlotsPath(t *testing.T) {
 		t.Fatal("forced exhaustion produced no ErrNoSlots completions")
 	}
 	s := d.Stats().Lifecycle
-	for _, lc := range s.Captured {
-		checkMonotone(t, lc)
-		if lc.Outcome != lifecycle.OutcomeFailed {
-			continue
-		}
-		if lc.TS[lifecycle.StageDispatched] != 0 || lc.TS[lifecycle.StageCopyStart] != 0 {
-			t.Errorf("undispatched lifecycle seq %d has dispatch/copy stamps: %v", lc.Seq, lc.TS)
+	for _, span := range []lifecycle.Span{lifecycle.SpanDispatchWait, lifecycle.SpanRingWait, lifecycle.SpanCopy} {
+		if c := s.Spans.Spans[span].Count; c != int64(n-failed) {
+			t.Errorf("span %v has %d samples with %d of %d dispatches exhausted", span, c, failed, n)
 		}
 	}
-	// The failed path must not leak span samples for stages never reached.
-	if c := s.Spans.Spans[lifecycle.SpanCopy].Count; c != 0 {
-		t.Errorf("copy span has %d samples with every dispatch exhausted", c)
+	if c := s.Spans.Spans[lifecycle.SpanTotal].Count; c != n {
+		t.Errorf("total span count = %d, want %d", c, n)
 	}
 }
 
-// TestLifecycleSamplingRateOnDevice submits sequentially at shift 3 and
-// requires exactly 1 in 8 requests sampled — the deterministic counter
-// decision, observable end to end through Stats.
-func TestLifecycleSamplingRateOnDevice(t *testing.T) {
-	d := Open(Options{NumReqs: 8, Controllers: 1, TraceSampleShift: 3})
-	defer d.Close()
-
-	const n = 64
-	src := make([]byte, 4096)
-	for i := 0; i < n; i++ {
-		r := d.AllocRequest()
-		r.Src, r.Dst = src, make([]byte, len(src))
-		if err := d.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-		if !d.Poll(time.Second) {
-			t.Fatal("Poll timed out")
-		}
-		for got := d.RetrieveCompleted(); got != nil; got = d.RetrieveCompleted() {
-			d.FreeRequest(got)
-		}
-	}
-	s := d.Stats().Lifecycle
-	if s.SampleShift != 3 {
-		t.Fatalf("sample shift = %d, want 3", s.SampleShift)
-	}
-	if want := int64(n / 8); s.Begun != want || s.Ended != want {
-		t.Errorf("begun/ended = %d/%d, want %d/%d at shift 3", s.Begun, s.Ended, want, want)
-	}
-	if c := s.Spans.Spans[lifecycle.SpanTotal].Count; c != int64(n/8) {
-		t.Errorf("total span samples = %d, want %d", c, n/8)
-	}
-}
-
-// TestLifecycleDisabled checks a negative shift turns the tracer off
-// entirely.
+// TestLifecycleDisabled checks Flight.Disable is the one observability
+// switch: no stage spans anywhere, no recorder snapshot.
 func TestLifecycleDisabled(t *testing.T) {
-	d := Open(Options{NumReqs: 8, Controllers: 1, TraceSampleShift: -1})
+	d := Open(Options{NumReqs: 8, Controllers: 1, Flight: flight.Options{Disable: true}})
 	defer d.Close()
 	src := make([]byte, 4096)
 	r := d.AllocRequest()
@@ -267,65 +302,24 @@ func TestLifecycleDisabled(t *testing.T) {
 	if err := d.Submit(r); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Poll(time.Second) {
-		t.Fatal("Poll timed out")
-	}
-	got := d.RetrieveCompleted()
+	got := drainAll(t, d, 1)[0]
 	d.FreeRequest(got)
-	s := d.Stats().Lifecycle
-	if s.Enabled || s.SampleShift != -1 || s.Begun != 0 || len(s.Captured) != 0 {
-		t.Errorf("disabled tracer recorded: %+v", s)
+	s := d.Stats()
+	if s.Flight.Enabled || s.Lifecycle.ClassSpans != nil || s.Lifecycle.Spans.Spans[lifecycle.SpanTotal].Count != 0 {
+		t.Errorf("disabled recorder recorded: %+v", s.Lifecycle)
+	}
+	if c := s.Tenants[0].Spans.Spans[lifecycle.SpanTotal].Count; c != 0 {
+		t.Errorf("disabled recorder fed %d tenant spans", c)
 	}
 }
 
-// TestLifecycleTracingOverheadGuard is the CI benchmark guard for the
-// always-on tracing cost: at the default sample shift, the acceptance
-// benchmark configuration (8 submitters, 4 KB batched x16 — the
-// sharded-batched16 case of BenchmarkSmallRequest8Submitters) must run
-// within 3% of the tracing-disabled build. Gated behind
-// MEMIF_BENCH_GUARD because it spends several benchmark windows.
-func TestLifecycleTracingOverheadGuard(t *testing.T) {
-	if os.Getenv("MEMIF_BENCH_GUARD") == "" {
-		t.Skip("set MEMIF_BENCH_GUARD=1 to run the tracing-overhead guard")
-	}
-	measure := func(shift int) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			benchConcurrentSubmit(b, 8, 4<<10, 16, Options{
-				NumReqs: 512, Controllers: 4, StagingShards: 4,
-				TraceSampleShift: shift,
-				// Disarm the flight recorder on both sides so this guard
-				// isolates the lifecycle-sampling cost; the recorder has
-				// its own guard (TestFlightOverheadGuard).
-				Flight: flight.Options{Disable: true},
-			})
-		})
-		return float64(r.NsPerOp())
-	}
-	// Interleave the two configurations and keep each one's minimum, so
-	// machine-load drift hits both sides equally and the lower-bound
-	// ns/op comparison stays stable.
-	off, on := math.MaxFloat64, math.MaxFloat64
-	for round := 0; round < 6; round++ {
-		if v := measure(-1); v < off { // tracing disabled
-			off = v
-		}
-		if v := measure(0); v < on { // 0 resolves to DefaultTraceSampleShift
-			on = v
-		}
-	}
-	ratio := on / off
-	t.Logf("tracing-disabled %.0f ns/op, default sampling %.0f ns/op, ratio %.4f", off, on, ratio)
-	if ratio > 1.03 {
-		t.Errorf("default lifecycle sampling costs %.1f%% (> 3%% budget)", (ratio-1)*100)
-	}
-}
-
-// TestFlightOverheadGuard is the CI benchmark guard for the always-on
-// flight recorder: with capture armed at defaults (per-slot stage
-// stamping, threshold comparison on every completion, SLO accounting,
-// watchdog monitor running), the acceptance benchmark configuration
-// must run within 2% of the recorder-disabled build. Gated behind
-// MEMIF_BENCH_GUARD because it spends several benchmark windows.
+// TestFlightOverheadGuard is the CI benchmark guard for the device's
+// one observability path: with the flight recorder armed at defaults
+// (stage stamps on every request, span folding and threshold
+// comparison on every completion, SLO accounting, watchdog monitor
+// running), the acceptance benchmark configuration must run within 2%
+// of the recorder-disabled build. Gated behind MEMIF_BENCH_GUARD
+// because it spends several benchmark windows.
 func TestFlightOverheadGuard(t *testing.T) {
 	if os.Getenv("MEMIF_BENCH_GUARD") == "" {
 		t.Skip("set MEMIF_BENCH_GUARD=1 to run the flight-overhead guard")
@@ -339,7 +333,9 @@ func TestFlightOverheadGuard(t *testing.T) {
 		})
 		return float64(r.NsPerOp())
 	}
-	// Interleaved min-of-6, as above: load drift hits both sides alike.
+	// Interleave the two configurations and keep each one's minimum, so
+	// machine-load drift hits both sides equally and the lower-bound
+	// ns/op comparison stays stable.
 	off, on := math.MaxFloat64, math.MaxFloat64
 	for round := 0; round < 6; round++ {
 		if v := measure(true); v < off {

@@ -20,7 +20,7 @@ package realtime
 //     inline threshold is copied by the worker itself (the "syscall
 //     path polls" case — no ring push, no controller wakeup), while
 //     larger transfers park on the ring/notify path. The threshold
-//     self-tunes from the lifecycle tracer's span histograms so it
+//     self-tunes from the flight recorder's stage spans so it
 //     lands where the inline copy costs about as much as the dispatch
 //     overhead it saves.
 
@@ -129,7 +129,7 @@ type QoSOptions struct {
 	// "always-notify" ablation).
 	InlineThreshold int
 	// DisableRetune freezes InlineThreshold at its initial value
-	// instead of self-tuning it from the lifecycle span histograms.
+	// instead of self-tuning it from the stage spans.
 	DisableRetune bool
 	// RetuneEvery is the number of dispatches between threshold
 	// retunes. 0 means DefaultRetuneEvery.
@@ -265,10 +265,11 @@ func (d *Device) popSubmission() (uint32, bool) {
 	return idx, true
 }
 
-// maybeRetune re-derives the inline threshold from the lifecycle span
-// histograms every RetuneEvery dispatches. Worker-only.
+// maybeRetune re-derives the inline threshold from the stage spans
+// every RetuneEvery dispatches. Worker-only; off with the flight
+// recorder, which keeps the spans.
 func (d *Device) maybeRetune() {
-	if d.qos.DisableRetune || d.lc == nil || d.inline.Load() == 0 {
+	if d.qos.DisableRetune || d.fr == nil || d.inline.Load() == 0 {
 		return
 	}
 	d.dispatchSeq++
@@ -281,15 +282,15 @@ func (d *Device) maybeRetune() {
 // retune implements the paper's Section 5 heuristic as a feedback loop:
 // poll (copy inline) when the transfer takes no longer than the
 // overhead of taking the asynchronous path. The dispatch overhead is
-// estimated as the mean ring wait of sampled chunks; copy bandwidth as
-// mean request bytes over mean copy span. The new threshold — bytes
+// estimated as the mean ring wait of ring-path requests (dispatch to
+// first chunk copy start); copy bandwidth as mean request bytes over
+// mean copy span. The new threshold — bytes
 // copyable within the overhead window — is blended 50/50 with the
 // current one so a noisy window cannot slam it around, and clamped to
 // [minInlineThreshold, maxInline].
 func (d *Device) retune() {
-	spans := d.lc.Spans()
-	ring := spans.Spans[lifecycle.SpanRingWait]
-	cp := spans.Spans[lifecycle.SpanCopy]
+	ring := d.fr.Span(lifecycle.SpanRingWait)
+	cp := d.fr.Span(lifecycle.SpanCopy)
 	if ring.Count == 0 || cp.Count == 0 {
 		return // not enough signal yet (or everything already inline)
 	}

@@ -222,16 +222,15 @@ func TestPopSubmissionAging(t *testing.T) {
 	}
 }
 
-// TestInlineRetuneMovesThreshold: with lifecycle full capture on and a
-// tiny retune cadence, a stream of ring-path requests gives the retuner
-// the span signal it needs; the threshold must move off its floor and
+// TestInlineRetuneMovesThreshold: with default observability and a tiny
+// retune cadence, a stream of ring-path requests gives the retuner the
+// span signal it needs; the threshold must move off its floor and
 // stay inside [minInlineThreshold, chunkBytes].
 func TestInlineRetuneMovesThreshold(t *testing.T) {
 	opts := Options{
-		NumReqs:          16,
-		Controllers:      1,
-		ChunkBytes:       64 << 10,
-		TraceFullCapture: true,
+		NumReqs:     16,
+		Controllers: 1,
+		ChunkBytes:  64 << 10,
 		QoS: QoSOptions{
 			InlineThreshold: minInlineThreshold, // start at the floor
 			RetuneEvery:     8,
@@ -275,10 +274,9 @@ func TestInlineRetuneMovesThreshold(t *testing.T) {
 func TestInlineRetuneDisabled(t *testing.T) {
 	const fixed = 2 << 10
 	d := Open(Options{
-		NumReqs:          16,
-		Controllers:      1,
-		TraceFullCapture: true,
-		QoS:              QoSOptions{InlineThreshold: fixed, DisableRetune: true, RetuneEvery: 4},
+		NumReqs:     16,
+		Controllers: 1,
+		QoS:         QoSOptions{InlineThreshold: fixed, DisableRetune: true, RetuneEvery: 4},
 	})
 	defer d.Close()
 

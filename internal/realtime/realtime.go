@@ -198,21 +198,6 @@ type Options struct {
 	// slots; 0 disables tracing (the default — counters and histograms
 	// are always on).
 	TraceDepth int
-	// TraceSampleShift tunes the per-request lifecycle tracer: one
-	// request in 2^shift gets every stage transition timestamped and
-	// attributed to the per-stage latency histograms. 0 means
-	// DefaultTraceSampleShift; negative disables lifecycle tracing
-	// entirely (every instrumentation site then costs one nil check).
-	TraceSampleShift int
-	// TraceFullCapture samples every request regardless of
-	// TraceSampleShift — the debug mode for reconstructing a complete
-	// timeline. Its overhead is measured in EXPERIMENTS.md; leave it off
-	// in production and benchmarks.
-	TraceFullCapture bool
-	// TraceCaptureDepth is the completed-lifecycle capture ring depth
-	// behind Stats().Lifecycle.Captured and the Chrome trace export
-	// (0 = lifecycle.DefaultCaptureDepth).
-	TraceCaptureDepth int
 	// QoS tunes priority classes, admission control and adaptive
 	// completion; the zero value applies the defaults (see QoSOptions).
 	QoS QoSOptions
@@ -232,15 +217,15 @@ type Options struct {
 	// completions are spread across (ring = slot index % N). 0 means
 	// min(GOMAXPROCS, Controllers), clamped to [1, NumReqs].
 	CompletionRings int
-	// Flight configures the always-on flight recorder: retroactive
-	// outlier capture (every request's stage stamps kept, breaching
-	// requests snapshotted into a bounded ring), the stall watchdog,
-	// and per-class/per-tenant SLO burn rates. The zero value arms it
-	// with defaults; set Flight.Disable to fall back to pure
-	// 1-in-2^TraceSampleShift lifecycle sampling. The recorder is
-	// independent of the tracer: armed stage stamps live in plain
-	// Request fields and a breach synthesizes its vector from them, so
-	// capture has no sampling holes even with the tracer off.
+	// Flight configures the always-on flight recorder, the device's one
+	// observability path: every request's stage stamps (plain Request
+	// fields), the per-class and per-tenant stage spans derived from
+	// them at retrieval (Stats().Lifecycle), retroactive outlier capture
+	// (breaching requests snapshotted into a bounded ring), the stall
+	// watchdog, and per-class/per-tenant SLO burn rates. The zero value
+	// arms it with defaults. Flight.Disable turns all of it off
+	// together — stamps, spans, capture, and the span signal the inline
+	// threshold retunes from.
 	Flight flight.Options
 	// Chaos installs test-only fault-injection hooks. Leave nil outside
 	// the verification suite.
@@ -252,13 +237,6 @@ type Options struct {
 // thousands per second) never let the worker park, short enough that an
 // idle device stops burning a core within a millisecond.
 const DefaultBusyPollIdle = time.Millisecond
-
-// DefaultTraceSampleShift is the default lifecycle sampling rate: one
-// request in 2^7 = 128, cheap enough to leave on under full load (the
-// overhead guard in the bench suite holds it under 3% on the 8-submitter
-// small-request benchmark) while still collecting thousands of samples
-// per second at realistic rates.
-const DefaultTraceSampleShift = 7
 
 // DefaultOptions mirrors the EDMA3-ish defaults.
 func DefaultOptions() Options {
@@ -335,19 +313,22 @@ type Request struct {
 	submitted  atomic.Int64 // UnixNano
 	completed  atomic.Int64
 
-	// Flight-recorder stage stamps, written only with the recorder
-	// armed (d.frArmed) and read solely on the retrieval path when a
-	// breach synthesizes its stamp vector (lcEnd). flushedNs and
-	// dispatchedNs each have one writer per lifecycle whose write is
-	// ordered before the reader by the pipeline's queue handoffs, so
-	// they are plain fields — no atomic store on the per-request hot
-	// path. copyStartNs is contended by parallel chunk controllers
-	// (first fresh stamp wins) and stays atomic. None are cleared on
-	// slot reuse: a stale value is older than the new submitted stamp,
-	// and every reader discards stamps below it.
+	// Stage stamps, written with the flight recorder armed (d.frArmed;
+	// inline at every dispatch) and read solely on the retrieval path,
+	// where lcEnd assembles them into the request's stage vector
+	// (stamps). flushedNs, dispatchedNs and inline each have one writer
+	// per lifecycle whose write is ordered before the reader by the
+	// pipeline's queue handoffs, so they are plain fields — no atomic
+	// store on the per-request hot path. copyStartNs is contended by parallel chunk
+	// controllers (first fresh stamp wins) and stolen is set by any
+	// thief, so both stay atomic. The stamps are not cleared on slot
+	// reuse: a stale value is older than the new submitted stamp, and
+	// stamps clamps it away.
 	flushedNs    int64
 	dispatchedNs int64
 	copyStartNs  atomic.Int64
+	inline       bool        // the worker copied it inline (no ring)
+	stolen       atomic.Bool // a chunk was stolen; reset at dispatch
 }
 
 // word packs st with the request's tenant claim.
@@ -374,13 +355,9 @@ func (r *Request) Latency() (time.Duration, bool) {
 }
 
 // chunk is one unit of controller work: a byte range of one request.
-// nano carries the ring-push timestamp when the request's lifecycle is
-// sampled (0 otherwise), so the consumer can attribute the dispatch-ring
-// wait — and steal delay — without any per-chunk allocation.
 type chunk struct {
 	idx      uint32
 	off, end int
-	nano     int64
 }
 
 // Trace event kinds recorded when Options.TraceDepth > 0. Payload words
@@ -556,15 +533,15 @@ type StatsSnapshot struct {
 	// Latency is the submission-to-completion histogram (ns); Sizes the
 	// request payload histogram (bytes).
 	Latency, Sizes obs.HistogramSnapshot
-	// Lifecycle is the per-request lifecycle tracer snapshot: per-stage
-	// latency histograms (staging wait, dispatch wait, ring wait, steal
-	// delay, copy, completion dwell) and the captured complete
-	// lifecycles. Enabled is false when Options.TraceSampleShift < 0.
+	// Lifecycle is the per-stage latency attribution of every retrieved
+	// request (staging wait, dispatch wait, ring wait, steal delay,
+	// copy, completion dwell, total), device-wide and per priority
+	// class, derived from the flight recorder's stage stamps. Empty
+	// when Options.Flight.Disable is set.
 	Lifecycle lifecycle.Snapshot
 	// Flight is the flight-recorder snapshot: captured outliers and
 	// stall reports, adaptive per-lane thresholds, and SLO burn rates.
-	// Flight.Enabled is false when Options.Flight.Disable is set (or
-	// lifecycle tracing is off entirely).
+	// Flight.Enabled is false when Options.Flight.Disable is set.
 	Flight flight.Snapshot
 	// Trace holds the retained ring-buffer events (nil unless
 	// Options.TraceDepth > 0). Render with obs.FormatEvents(…, EventName).
@@ -652,7 +629,6 @@ type Device struct {
 	_       [56]byte
 	wg      sync.WaitGroup
 	m       metrics
-	lc      *lifecycle.Tracer // nil when lifecycle tracing is disabled
 	chaos   *ChaosHooks
 
 	// Flight recorder (nil fields when Options.Flight.Disable). fr and
@@ -664,8 +640,8 @@ type Device struct {
 	frWg    sync.WaitGroup
 	// frArmed mirrors fr != nil as a plain bool the per-request paths
 	// branch on: with the recorder armed, every request carries the
-	// cheap plain-field stage stamps lcEnd synthesizes breach vectors
-	// from (see Request.flushedNs).
+	// cheap plain-field stage stamps lcEnd derives spans and breach
+	// vectors from (see Request.flushedNs).
 	frArmed bool
 	compCap int64 // summed completion-ring capacity (watchdog high water)
 }
@@ -783,13 +759,6 @@ func Open(opts Options) *Device {
 		d.work = make(chan struct{}, opts.Controllers)
 	}
 	d.m.trace = obs.NewTrace(opts.TraceDepth)
-	lcShift := opts.TraceSampleShift
-	if opts.TraceFullCapture {
-		lcShift = 0
-	} else if lcShift == 0 {
-		lcShift = DefaultTraceSampleShift
-	}
-	d.lc = lifecycle.New(opts.NumReqs, lcShift, opts.TraceCaptureDepth, NumClasses)
 	if !opts.Flight.Disable {
 		fo := opts.Flight
 		if fo.Classes <= 0 || fo.Classes > flight.MaxClasses {
@@ -798,12 +767,10 @@ func Open(opts Options) *Device {
 		d.fr = flight.New(fo)
 	}
 	if d.fr != nil {
-		// Retroactive capture needs stage stamps for every request, not
-		// 1/128 — but not through the tracer's atomic records, whose
-		// per-stage stores cost more than the recorder's whole overhead
-		// budget. Armed stamps live in plain Request fields instead
-		// (amortized clock, one writer per handoff stage); the tracer
-		// stays the sampled full-fidelity instrument.
+		// Spans and retroactive capture need stage stamps for every
+		// request. They live in plain Request fields (amortized clocks,
+		// one writer per handoff stage): atomic per-stage records would
+		// cost more than the recorder's whole overhead budget.
 		d.frArmed = true
 		d.frWatch = flight.NewWatchdog(opts.Flight.Watchdog)
 		d.frStop = make(chan struct{})
@@ -938,17 +905,8 @@ func (d *Device) trace(kind uint32, a, b uint64) {
 	}
 }
 
-// lcStamp timestamps one lifecycle stage for idx. The inactive fast
-// path is a single atomic load — the clock is only read for the one
-// request in 2^TraceSampleShift actually being traced.
-func (d *Device) lcStamp(idx uint32, st lifecycle.Stage) {
-	if d.lc.Active(int(idx)) {
-		d.lc.Transition(int(idx), st, time.Now().UnixNano())
-	}
-}
-
-// lcOutcome classifies a retrieved request's error for the tracer and
-// the outlier record.
+// lcOutcome classifies a retrieved request's error for the outlier
+// record.
 func lcOutcome(err error) lifecycle.Outcome {
 	switch {
 	case err == nil:
@@ -962,62 +920,20 @@ func lcOutcome(err error) lifecycle.Outcome {
 	}
 }
 
-// lcEnd closes r's lifecycle on the retrieval path and — with the
-// flight recorder armed — runs the breach check through the caller's
-// batch accumulator: the completed latency trains the lane EWMA and SLO
-// counters (folded once per batch by acc.Flush), and a breach copies a
-// full seven-stage stamp vector plus the ambient congestion picture
-// into the outlier ring. No sampling holes: every retrieved request
-// takes the breach check.
+// lcEnd closes r's lifecycle on the retrieval path with the flight
+// recorder armed: it assembles the request's stage vector, and the
+// caller's batch accumulator folds the derived stage spans into the
+// request's (class, tenant) lane and trains the lane EWMA and SLO
+// counters with its latency — all published once per batch by
+// acc.Flush. A breach copies the full stamp vector plus the ambient
+// congestion picture into the outlier ring. No sampling holes: every
+// retrieved request feeds the spans and takes the breach check.
 //
-// Sampled lifecycles (1 in 2^shift) close through the tracer with a
-// fresh clock read and capture their genuine stamp vector. Every other
-// request pays only plain loads: its vector is synthesized on breach
-// from the armed stamps (Request.flushedNs et al.) with nano — the
-// caller's batch-amortized retrieve timestamp (0 = read here) — as the
-// retrieved stage. Stamps below the submitted stamp are a previous
-// occupant's and are discarded; the worker's pass-amortized clock makes
-// intra-pipeline stamps at most a few microseconds stale, invisible at
-// the millisecond scale that defines a breach. A missing copy-start
-// stamp means the worker copied inline at dispatch, so the dispatch
-// stamp is the exact copy-start time and the record is flagged inline.
+// nano is the caller's batch-amortized retrieve timestamp (0 = read
+// here), the retrieved stage.
 func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
-	if d.lc.Active(int(r.idx)) {
-		out := lcOutcome(r.Err)
-		// The tenant span set rides the same stamp derivation:
-		// per-tenant stage attribution at zero extra clock reads.
-		lc, ok := d.lc.EndInto(int(r.idx), out, time.Now().UnixNano(), &d.tenantOf(r).spans)
-		if !ok || d.fr == nil {
-			return
-		}
-		lat := lc.TS[lifecycle.StageRetrieved] - lc.TS[lifecycle.StageSubmit]
-		tenant := int(r.tenant.Load())
-		thr, breach := acc.Observe(lc.Class, tenant, lat, out == lifecycle.OutcomeOK)
-		if !breach {
-			return
-		}
-		o := flight.Outlier{
-			Kind:        flight.KindLatency,
-			Nano:        lc.TS[lifecycle.StageRetrieved],
-			Slot:        int32(lc.Slot),
-			Class:       int32(lc.Class),
-			Tenant:      uint32(tenant),
-			Bytes:       lc.Bytes,
-			Outcome:     int32(lc.Outcome),
-			Flags:       lc.Flags,
-			LatencyNs:   lat,
-			ThresholdNs: thr,
-			TS:          lc.TS,
-			Ambient:     d.ambient(),
-		}
-		d.fr.Capture(&o)
-		return
-	}
 	if d.fr == nil {
 		return
-	}
-	if nano == 0 {
-		nano = time.Now().UnixNano()
 	}
 	sub := r.submitted.Load()
 	if sub == 0 {
@@ -1026,44 +942,29 @@ func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
 		// an epoch-sized breach with an empty stamp vector.
 		return
 	}
+	if nano == 0 {
+		nano = time.Now().UnixNano()
+	}
+	ts, flags := r.stamps(sub, nano)
+	ok := r.Err == nil
+	spans := ts
+	if !ok {
+		// A canceled, expired or failed request stopped somewhere short
+		// of a clean copy, and its stamps cannot say where: it feeds
+		// only its total and completion dwell.
+		for st := lifecycle.StageFlushed; st <= lifecycle.StageCopyEnd; st++ {
+			spans[st] = 0
+		}
+	}
 	lat := nano - sub
 	tenant := int(r.tenant.Load())
-	thr, breach := acc.Observe(int(r.Class), tenant, lat, r.Err == nil)
+	thr, breach := acc.Observe(int(r.Class), tenant, lat, ok, &spans, flags)
 	if !breach {
 		return
 	}
-	// Synthesize the stamp vector (breaches only — the hot path never
-	// runs this). Clamps keep it monotone: amortized clocks can lag a
-	// fresher upstream stamp by microseconds, and stale stamps from the
-	// slot's previous life fall below the submitted stamp.
-	comp := r.completed.Load()
-	disp := r.dispatchedNs
-	if disp < sub {
-		disp = sub
-	}
-	var flags uint32
-	cs := r.copyStartNs.Load()
-	if cs < sub {
-		cs = disp
-		flags |= lifecycle.FlagInline
-	} else if cs < disp {
-		cs = disp
-	}
-	if comp < cs {
-		comp = cs
-	}
-	fl := r.flushedNs
-	if fl < sub {
-		fl = sub
-	} else if fl > disp {
-		fl = disp
-	}
-	if nano < comp {
-		nano = comp
-	}
 	o := flight.Outlier{
 		Kind:        flight.KindLatency,
-		Nano:        nano,
+		Nano:        ts[lifecycle.StageRetrieved],
 		Slot:        int32(r.idx),
 		Class:       int32(r.Class),
 		Tenant:      uint32(tenant),
@@ -1072,18 +973,40 @@ func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
 		Flags:       flags,
 		LatencyNs:   lat,
 		ThresholdNs: thr,
-		TS: [lifecycle.NumStages]int64{
-			lifecycle.StageSubmit:     sub,
-			lifecycle.StageFlushed:    fl,
-			lifecycle.StageDispatched: disp,
-			lifecycle.StageCopyStart:  cs,
-			lifecycle.StageCopyEnd:    comp,
-			lifecycle.StageCompleted:  comp,
-			lifecycle.StageRetrieved:  nano,
-		},
-		Ambient: d.ambient(),
+		TS:          ts,
+		Ambient:     d.ambient(),
 	}
 	d.fr.Capture(&o)
+}
+
+// stamps assembles r's seven-stage vector from its armed stamps, with
+// sub as the submit stage and nano as the retrieved one, plus its path
+// flags. The vector is clamped monotone: amortized clocks on different
+// goroutines can put a stamp microseconds before an upstream one, and a
+// stamp the request never wrote in this life (a previous occupant's)
+// falls below sub. Completion is the copy end: the finisher stamps it
+// right after the last chunk moves.
+func (r *Request) stamps(sub, nano int64) (ts [lifecycle.NumStages]int64, flags uint32) {
+	disp := max(r.dispatchedNs, sub)
+	cs := disp // the inline copy starts at dispatch
+	if r.inline {
+		flags |= lifecycle.FlagInline
+	} else {
+		cs = max(r.copyStartNs.Load(), disp)
+	}
+	if r.stolen.Load() {
+		flags |= lifecycle.FlagStolen
+	}
+	comp := max(r.completed.Load(), cs)
+	return [lifecycle.NumStages]int64{
+		lifecycle.StageSubmit:     sub,
+		lifecycle.StageFlushed:    min(max(r.flushedNs, sub), disp),
+		lifecycle.StageDispatched: disp,
+		lifecycle.StageCopyStart:  cs,
+		lifecycle.StageCopyEnd:    comp,
+		lifecycle.StageCompleted:  comp,
+		lifecycle.StageRetrieved:  max(nano, comp),
+	}, flags
 }
 
 // wake posts the (single-token) completion edge for parked Polls.
@@ -1185,7 +1108,6 @@ func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
 					ts.queued.Add(1) // popSubmission decrements at dispatch
 				}
 				d.m.submissionHW.Observe(d.submissionDepth())
-				d.lcStamp(idx, lifecycle.StageFlushed)
 				return true
 			}
 		}
@@ -1226,13 +1148,9 @@ func (d *Device) mustEnqueue(q *rbq.Queue, idx uint32) {
 // off-protocol (the slab-exhaustion path) — but a cancel or deadline
 // that already claimed the request wins over it, because Cancel's
 // contract ("will complete with ErrCanceled") must hold no matter which
-// path posts the completion.
-func (d *Device) finish(r *Request, forced error) { d.finishAt(r, forced, 0) }
-
-// finishAt is finish with a caller-supplied completion timestamp (0 =
-// read the clock here): the copy path's last chunk already read the
-// clock for its CopyEnd stamp and hands the same value down.
-func (d *Device) finishAt(r *Request, forced error, now int64) {
+// path posts the completion. The completion stamp is the request's
+// copy end: the finisher reads it right after the last chunk moves.
+func (d *Device) finish(r *Request, forced error) {
 	old := r.state.Swap(stDone) & stateMask
 	if old == stDone {
 		// Completion already fired. This must never happen; count it
@@ -1249,13 +1167,8 @@ func (d *Device) finishAt(r *Request, forced error, now int64) {
 		err = ErrDeadline
 	}
 	r.Err = err
-	if now == 0 {
-		now = time.Now().UnixNano()
-	}
+	now := time.Now().UnixNano()
 	r.completed.Store(now)
-	if d.lc.Active(int(r.idx)) {
-		d.lc.Transition(int(r.idx), lifecycle.StageCompleted, now)
-	}
 	ts := d.tenantOf(r)
 	if s := r.submitted.Load(); s > 0 {
 		lat := now - s
@@ -1308,7 +1221,6 @@ func (d *Device) shard() *rbq.Queue {
 func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
 	now := time.Now().UnixNano()
 	r.submitted.Store(now)
-	d.lc.Begin(int(r.idx), int(r.Class), int64(len(r.Src)), now)
 	r.state.Store(r.word(stPending))
 	if d.chaos != nil && d.chaos.StagingEnqueue != nil && d.chaos.StagingEnqueue(r.idx) {
 		return 0, false // forced slab exhaustion
@@ -1347,9 +1259,6 @@ func (d *Device) unstage(r *Request) bool {
 		d.finish(r, nil)
 		return true
 	}
-	// The request never entered the pipeline: the caller gets the error
-	// back and keeps the slot, so its traced lifecycle ends here.
-	d.lc.Abort(int(r.idx))
 	return false
 }
 
@@ -1357,9 +1266,7 @@ func (d *Device) unstage(r *Request) bool {
 // shard: drain it into the submission queue, recolor it red, and kick
 // the worker if nobody else already has. traceIdx labels the kick event.
 func (d *Device) flushShard(sh *rbq.Queue, traceIdx uint32) {
-	// One clock read covers every armed flight stamp in this drain;
-	// the tracer's per-request lazy read still fires solely for sampled
-	// requests.
+	// One clock read covers every armed flight stamp in this drain.
 	var flushNano int64
 	if d.frArmed {
 		flushNano = time.Now().UnixNano()
@@ -1457,17 +1364,49 @@ func (d *Device) Cancel(r *Request) bool {
 // ~1/64 the time.Now cost of checking every pass.
 const busyPollRecheckEvery = 64
 
+// Armed stage stamps read the wall clock through a goroutine-private
+// lazyClock: one read serves stamps until clockBudget bytes' worth of
+// work has gone by, each stamp charged clockStampCost and each copy its
+// payload. Sixteen 4 KB requests share a read — a time.Now at ~60ns per
+// request would alone consume the recorder's whole overhead budget —
+// while a 256 KB chunk copy, tens of microseconds, always gets a fresh
+// one, so stamps stay within ~10 µs of the truth whatever the request
+// size.
+const (
+	clockBudget    = 128 << 10
+	clockStampCost = 2 << 10
+)
+
+// lazyClock is a goroutine-private amortized wall clock for the armed
+// stage stamps. The zero value reads the clock at its first stamp.
+type lazyClock struct {
+	nano   int64
+	budget int
+}
+
+// now returns the amortized time, reading the wall clock once the
+// budget is spent.
+func (c *lazyClock) now() int64 {
+	if c.budget <= 0 {
+		c.nano, c.budget = time.Now().UnixNano(), clockBudget
+	}
+	c.budget -= clockStampCost
+	return c.nano
+}
+
+// spend charges n copied bytes against the current read.
+func (c *lazyClock) spend(n int) { c.budget -= n }
+
+// reset forces a fresh read at the next stamp. Owners call it whenever
+// they run out of work — before spinning idle or parking — so an idle
+// gap never leaks into the next request's stamps as staleness; it costs
+// no clock read of its own.
+func (c *lazyClock) reset() { c.budget = 0 }
+
 // worker is the kernel thread: drain the staging shards, chunk and
 // dispatch submissions to the controllers, then — in busy-poll mode —
 // keep spinning through the idle budget, or recolor the shards blue
 // and sleep.
-// workerClockEvery bounds how many armed flight stamps reuse one
-// worker/controller clock read: staleness stays under ~16 op-times
-// (microseconds) while the per-request clock cost drops to ~1/16 of a
-// time.Now (which at ~60ns would alone consume the recorder's whole
-// overhead budget).
-const workerClockEvery = 16
-
 func (d *Device) worker() {
 	defer func() {
 		if d.rings != nil {
@@ -1480,35 +1419,24 @@ func (d *Device) worker() {
 	busy := d.opts.BusyPoll
 	var idleSince time.Time // zero while working (or before the first budget clock read)
 	idleSpins := 0
-	// wNano is the worker's amortized clock for armed flight stamps:
-	// refreshed once per drain pass and at least every
-	// workerClockEvery dispatches, never per request. The stamps it
-	// feeds only ever surface in breach records, where millisecond
-	// latencies dwarf the microseconds of pass-level staleness; the
-	// sampled 1/2^shift lifecycles read fresh clocks as always.
-	var wNano int64
-	sinceClock := 0
+	// clock stamps the armed Flushed and Dispatched stages. Under load a
+	// drain pass often moves a single element before the next dispatch,
+	// so a per-pass read would degenerate to per-request.
+	var clock lazyClock
 	for {
 		// Drain every shard round-robin: one element per shard per
-		// pass, so no shard starves behind a full neighbor. Armed
-		// Flushed stamps share the worker's amortized clock — under
-		// load a pass often moves a single element before the next
-		// dispatch, so a per-pass read would degenerate to per-request.
+		// pass, so no shard starves behind a full neighbor.
 		for {
 			moved := false
-			var drainNano int64
 			for _, sh := range d.staging {
 				idx, _, ok := sh.Dequeue()
 				if !ok {
 					continue
 				}
 				moved = true
+				var drainNano int64
 				if d.frArmed {
-					if sinceClock >= workerClockEvery || wNano == 0 {
-						wNano, sinceClock = time.Now().UnixNano(), 0
-					}
-					sinceClock++
-					drainNano = wNano
+					drainNano = clock.now()
 				}
 				if !d.enqueueSubmission(idx, drainNano) {
 					if r, valid := d.req(idx); valid {
@@ -1522,15 +1450,10 @@ func (d *Device) worker() {
 		}
 		if idx, ok := d.popSubmission(); ok {
 			idleSpins, idleSince = 0, time.Time{}
-			if d.frArmed {
-				if sinceClock >= workerClockEvery || wNano == 0 {
-					wNano, sinceClock = time.Now().UnixNano(), 0
-				}
-				sinceClock++
-			}
-			d.dispatch(idx, wNano)
+			d.dispatch(idx, &clock)
 			continue
 		}
+		clock.reset()
 		// Busy-poll spin phase: the pipeline is dry but the idle budget
 		// is not. The shards stay red, so submitters keep hitting the
 		// stage-and-return fast path (no flush, no kick) and the drain
@@ -1607,7 +1530,8 @@ func (d *Device) worker() {
 // or, when the request is small enough for the adaptive inline
 // threshold, copies it right here on the worker (the poll path: no ring
 // push, no controller wakeup, no notify hop for the copy itself).
-func (d *Device) dispatch(idx uint32, wNano int64) {
+// clock is the worker's amortized clock for the armed dispatch stamp.
+func (d *Device) dispatch(idx uint32, clock *lazyClock) {
 	r, ok := d.req(idx)
 	if !ok {
 		return
@@ -1618,19 +1542,13 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 		d.chaos.BeforeDispatch(idx)
 	}
 	if d.frArmed {
-		// Armed flight stamp from the worker's amortized clock; plain
-		// field, written before any handoff publishes idx onward. The
-		// inline path below copies right here, so on breach a missing
-		// copy-start stamp resolves to exactly this value.
-		r.dispatchedNs = wNano
-	}
-	// Sampled lifecycles get a fresh clock read: it serves the dispatch
-	// stamp, the inline path's CopyStart pre-stamp, and every chunk's
-	// push stamp below; the gap between them is a few branches.
-	var dispatchNano int64
-	if d.lc.Active(int(idx)) {
-		dispatchNano = time.Now().UnixNano()
-		d.lc.Transition(int(idx), lifecycle.StageDispatched, dispatchNano)
+		// Armed stage stamps: plain fields, written before any handoff
+		// publishes idx onward. The inline path below copies right
+		// here, so its copy starts at exactly this stamp.
+		r.dispatchedNs = clock.now()
+		if r.stolen.Load() {
+			r.stolen.Store(false)
+		}
 	}
 	// Observe cancellation and deadline before any byte moves.
 	if !r.Deadline.IsZero() && time.Now().After(r.Deadline) {
@@ -1646,6 +1564,7 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 		nChunks = (n + d.chunkBytes - 1) / d.chunkBytes
 	}
 	r.chunksLeft.Store(int32(nChunks))
+	r.inline = false
 	d.trace(EvDispatch, uint64(idx), uint64(nChunks))
 	// Adaptive completion, the paper's Section 5 poll/interrupt split:
 	// a single-chunk request at or below the inline threshold is copied
@@ -1656,33 +1575,14 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 	if nChunks == 1 && d.rings != nil {
 		if th := d.inline.Load(); th > 0 && int64(n) <= th {
 			d.m.inlineCompleted.Inc()
-			if dispatchNano != 0 {
-				// The copy starts right here on the worker: reuse the
-				// sampled dispatch clock read for the CopyStart stamp
-				// (runChunk's StampPending guard skips its own) and flag
-				// the lifecycle so a slow inline request is legible as
-				// one. The armed path stores nothing — a breach record
-				// infers inline from the missing copy-start stamp.
-				d.lc.SetFlag(int(idx), lifecycle.FlagInline)
-				d.lc.TransitionFirst(int(idx), lifecycle.StageCopyStart, dispatchNano)
-			}
+			r.inline = true
 			d.runChunk(chunk{idx: idx, off: 0, end: n}, len(d.ctr)-1, 0)
+			clock.spend(n)
 			return
 		}
 	}
-	// One ring-push stamp serves every chunk of a sampled request: the
-	// pushes below are a tight loop, and the per-chunk ring wait is
-	// measured against it on the consumer side (zero = unsampled —
-	// deliberately 1/2^shift even with the flight recorder armed, so
-	// controllers don't pay a clock read plus a histogram push per
-	// chunk for every request; the armed path needs stage stamps, not
-	// ring-wait spans).
-	var pushNano int64
-	if d.rings != nil && d.lc.Sampled(int(idx)) {
-		pushNano = dispatchNano
-	}
 	for i := 0; i < nChunks; i++ {
-		c := chunk{idx: idx, off: 0, end: n, nano: pushNano}
+		c := chunk{idx: idx, off: 0, end: n}
 		if nChunks > 1 {
 			c.off = i * d.chunkBytes
 			c.end = c.off + d.chunkBytes
@@ -1746,45 +1646,34 @@ func (d *Device) controller(id int) {
 	own := d.rings[id]
 	n := len(d.rings)
 	spins := 0
-	// csNano is this controller's amortized clock for armed copy-start
-	// stamps, refreshed every workerClockEvery chunks (see wNano in the
-	// worker for the staleness argument).
-	var csNano int64
-	sinceClock := 0
+	// clock stamps the armed copy-start stage (see lazyClock).
+	var clock lazyClock
+	run := func(c chunk) {
+		var csNano int64
+		if d.frArmed {
+			csNano = clock.now()
+		}
+		d.runChunk(c, id, csNano)
+		clock.spend(c.end - c.off)
+	}
 	for {
 		c, ok := own.tryPop()
-		stolen := false
 		if !ok {
 			for i := 1; i < n && !ok; i++ {
 				if c, ok = d.rings[(id+i)%n].tryPop(); ok {
 					d.ctr[id].steals.Add(1)
-					stolen = true
+					if d.frArmed {
+						d.reqs[c.idx].stolen.Store(true)
+					}
 				}
 			}
 		}
 		if ok {
 			spins = 0
-			if stolen {
-				d.lc.SetFlag(int(c.idx), lifecycle.FlagStolen)
-			}
-			if c.nano != 0 {
-				class := 0
-				if r, valid := d.req(c.idx); valid {
-					class = int(r.Class)
-				}
-				d.lc.ObserveQueueWait(class, time.Now().UnixNano()-c.nano, stolen)
-			}
-			if d.frArmed {
-				if sinceClock >= workerClockEvery || csNano == 0 {
-					csNano, sinceClock = time.Now().UnixNano(), 0
-				}
-				sinceClock++
-				d.runChunk(c, id, csNano)
-				continue
-			}
-			d.runChunk(c, id, 0)
+			run(c)
 			continue
 		}
+		clock.reset()
 		// Nothing anywhere: spin briefly (work often lands within a
 		// few scheduler quanta under load), then park on the work edge.
 		// The check-empty-then-park order plus the buffered channel
@@ -1807,7 +1696,7 @@ func (d *Device) controller(id int) {
 				if !ok {
 					return
 				}
-				d.runChunk(c, id, csNano)
+				run(c)
 			}
 		}
 	}
@@ -1817,9 +1706,8 @@ func (d *Device) controller(id int) {
 // and fires the completion when it was the request's last chunk. slot
 // selects the caller's private counter block: the controller id, or the
 // worker's extra slot on the inline path. csNano is the caller's
-// amortized clock for the armed flight copy-start stamp (0 on the
-// inline path, whose breach records resolve copy-start to the dispatch
-// stamp — the exact moment the worker's copy began).
+// amortized clock for the armed copy-start stamp (0 on the inline path,
+// whose copy starts at the dispatch stamp).
 func (d *Device) runChunk(c chunk, slot int, csNano int64) {
 	r, ok := d.req(c.idx)
 	if !ok {
@@ -1837,16 +1725,6 @@ func (d *Device) runChunk(c chunk, slot int, csNano int64) {
 			r.copyStartNs.CompareAndSwap(cs, csNano)
 		}
 	}
-	// The sampled copy window opens at the first chunk to reach any
-	// controller (first stamp wins) and closes when the finisher
-	// retires the last one — a canceled request still gets the stamps,
-	// bounding the time its chunks occupied controllers. StampPending
-	// folds the active check and the already-stamped check into one
-	// load, so the inline path's pre-stamp and every chunk after the
-	// first skip the clock.
-	if d.lc.StampPending(int(c.idx), lifecycle.StageCopyStart) {
-		d.lc.TransitionFirst(int(c.idx), lifecycle.StageCopyStart, time.Now().UnixNano())
-	}
 	// A cancel or deadline that won after dispatch stops the
 	// copying; the chunk countdown still runs so the completion
 	// fires exactly once.
@@ -1857,14 +1735,6 @@ func (d *Device) runChunk(c chunk, slot int, csNano int64) {
 	d.ctr[slot].chunks.Add(1)
 	d.trace(EvChunk, uint64(c.idx), uint64(c.end-c.off))
 	if r.chunksLeft.Add(-1) == 0 {
-		// One clock read serves the CopyEnd stamp and the completion
-		// timestamp in finishAt.
-		if d.lc.Active(int(c.idx)) {
-			now := time.Now().UnixNano()
-			d.lc.Transition(int(c.idx), lifecycle.StageCopyEnd, now)
-			d.finishAt(r, nil, now)
-			return
-		}
 		d.finish(r, nil)
 	}
 }
@@ -1883,8 +1753,8 @@ func (d *Device) RetrieveCompleted() *Request {
 	}
 	d.m.retrieved.Inc()
 	// Single-completion retrieve: the accumulator holds one request's
-	// worth of lane accounting, flushed immediately (same cost shape as
-	// the unbatched recorder path). lcEnd reads its own clock lazily.
+	// worth of lane and span accounting, flushed immediately. lcEnd
+	// reads its own clock lazily.
 	var acc flight.Acc
 	acc.Init(d.fr)
 	d.lcEnd(r, 0, &acc)
@@ -2074,7 +1944,7 @@ func (d *Device) Stats() StatsSnapshot {
 	tab := *d.tenants.Load()
 	tenants := make([]TenantStats, len(tab))
 	for i, ts := range tab {
-		tenants[i] = ts.snapshot()
+		tenants[i] = ts.snapshot(d.fr)
 	}
 	var chunks, bytesMoved, steals int64
 	for i := range d.ctr {
@@ -2088,13 +1958,21 @@ func (d *Device) Stats() StatsSnapshot {
 		compDepths[i] = cr.size()
 		compDepth += compDepths[i]
 	}
+	var spans lifecycle.Snapshot
+	if d.fr != nil {
+		spans.ClassSpans = make([]lifecycle.SpanSnapshot, NumClasses)
+		for c := range spans.ClassSpans {
+			spans.ClassSpans[c] = d.fr.ClassSpans(c)
+			spans.Spans = spans.Spans.Add(spans.ClassSpans[c])
+		}
+	}
 	return StatsSnapshot{
 		StagingDepths:        staging,
 		SubmissionDepth:      d.submissionDepth(),
 		CompletionDepth:      compDepth,
 		CompletionDepths:     compDepths,
 		RingDepths:           ringDepths,
-		Lifecycle:            d.lc.Snapshot(),
+		Lifecycle:            spans,
 		Flight:               d.fr.Snapshot(),
 		Submitted:            d.m.submitted.Load(),
 		Completed:            d.m.completed.Load(),

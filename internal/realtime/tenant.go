@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 
 	"memif/internal/obs"
+	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 )
 
@@ -122,7 +123,6 @@ type tenantState struct {
 	submitted, completed obs.Counter
 	shed, canceled       obs.Counter
 	latency              obs.Histogram
-	spans                lifecycle.SpanSet
 }
 
 // Tenant is a handle on one tenant namespace of a Device. Handles are
@@ -263,7 +263,7 @@ func (t *Tenant) CancelAll() int {
 }
 
 // Stats returns this tenant's slice of the device counters.
-func (t *Tenant) Stats() TenantStats { return t.d.tenant(t.id).snapshot() }
+func (t *Tenant) Stats() TenantStats { return t.d.tenant(t.id).snapshot(t.d.fr) }
 
 // TenantStats is one tenant's slice of the device counters, exported
 // through StatsSnapshot.Tenants and the memif_realtime_tenant_* series.
@@ -286,12 +286,13 @@ type TenantStats struct {
 	// Latency is the submission-to-completion histogram (ns) of this
 	// tenant alone.
 	Latency obs.HistogramSnapshot
-	// Spans carries the tenant's lifecycle stage-latency attribution
-	// (sampled requests only, like the device-wide spans).
+	// Spans carries the tenant's stage-latency attribution over every
+	// retrieved request, like the device-wide spans (empty with
+	// Options.Flight.Disable).
 	Spans lifecycle.SpanSnapshot
 }
 
-func (ts *tenantState) snapshot() TenantStats {
+func (ts *tenantState) snapshot(fr *flight.Recorder) TenantStats {
 	return TenantStats{
 		ID:         int(ts.id),
 		Name:       ts.name,
@@ -304,6 +305,6 @@ func (ts *tenantState) snapshot() TenantStats {
 		InFlight:   ts.inFlight.Load(),
 		QueueDepth: ts.queued.Load(),
 		Latency:    ts.latency.Snapshot(),
-		Spans:      ts.spans.Snapshot(),
+		Spans:      fr.TenantSpans(int(ts.id)),
 	}
 }

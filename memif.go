@@ -33,7 +33,7 @@
 //     one-shot Stream/StreamDirect entry points survive as deprecated
 //     wrappers.
 //   - Observability — NewObsHandler and the Obs* helpers expose every
-//     subsystem's metrics and traces over HTTP, and the Flight* types
+//     subsystem's metrics and outlier traces over HTTP, and the Flight* types
 //     configure the always-on flight recorder behind /debug/outliers:
 //     retroactive tail-latency capture, a stall watchdog, and SLO burn
 //     rates.
@@ -497,13 +497,13 @@ func StreamDirect(p *Proc, as *AddressSpace, k StreamKernel, base, length int64,
 // Observability: metrics, lifecycle traces, HTTP exposition.
 // ---------------------------------------------------------------------
 
-// LifecycleSnapshot is the per-request lifecycle tracer's view,
+// LifecycleSnapshot is the realtime device's stage-latency attribution,
 // available as RealtimeStats.Lifecycle: per-stage latency histograms
 // (staging wait, dispatch wait, ring wait, steal delay, copy,
-// completion dwell), the same broken down per priority class
-// (ClassSpans), and the captured complete lifecycles. Sampling is
-// controlled by RealtimeOptions.TraceSampleShift (1 request in 2^k;
-// negative disables) or TraceFullCapture.
+// completion dwell, total) over every retrieved request, and the same
+// broken down per priority class (ClassSpans). The spans derive from
+// the flight recorder's stage stamps, so RealtimeOptions.Flight.Disable
+// turns them off along with the rest of the recorder.
 type LifecycleSnapshot = lifecycle.Snapshot
 
 // LifecycleSpans holds the per-stage latency histograms of one
@@ -511,14 +511,13 @@ type LifecycleSnapshot = lifecycle.Snapshot
 // carry the same shape on virtual time.
 type LifecycleSpans = lifecycle.SpanSnapshot
 
-// CapturedLifecycle is one completed, captured request lifecycle: slot,
-// payload size, priority class, outcome, and the raw stage timestamps.
-type CapturedLifecycle = lifecycle.Lifecycle
-
-// ChromeTraceJSON renders captured lifecycles as Chrome trace_event
-// JSON for chrome://tracing or ui.perfetto.dev.
-func ChromeTraceJSON(process string, lcs []CapturedLifecycle) ([]byte, error) {
-	return lifecycle.ChromeTraceJSON(process, lcs)
+// ChromeTraceJSON renders the latency outliers among a flight
+// recorder's captured records (FlightSnapshot.Outliers) as Chrome
+// trace_event JSON for chrome://tracing or ui.perfetto.dev: one row per
+// request, one span per stage of its stamp vector. Stall and event
+// records carry no stamps and are skipped.
+func ChromeTraceJSON(process string, outliers []FlightOutlier) ([]byte, error) {
+	return lifecycle.ChromeTraceJSON(process, flight.Lifecycles(outliers))
 }
 
 // SwapMetricsSnapshot is the swap daemon's observability view
@@ -534,7 +533,8 @@ type StreamMetrics = streamrt.Metrics
 type StreamMetricsSnapshot = streamrt.MetricsSnapshot
 
 // ObsHandler serves the observability endpoints — /metrics (Prometheus
-// text format), /trace (Chrome trace_event JSON), /debug/pprof/* — for
+// text format), /debug/outliers (flight-recorder JSON),
+// /debug/outliers/trace (Chrome trace_event JSON), /debug/pprof/* — for
 // a set of registered collectors; mount it on any http server. See
 // cmd/memif-trace -serve and cmd/membench -http for ready-made setups.
 type ObsHandler = obshttp.Handler

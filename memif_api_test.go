@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"memif"
+	"memif/internal/realtime"
 )
 
 // TestFacadeSymbolCoverage references every exported symbol. Most of
@@ -297,8 +298,26 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	ropts := memif.DefaultRealtimeOptions()
 	ropts.NumReqs = 8
 	ropts.Controllers = 1
-	// Scavenger admission cuts off at 50% occupancy = 4 slots.
+	// Scavenger admission cuts off at 50% occupancy = 4 slots. The
+	// scavenger copies are held in flight until release closes, so
+	// occupancy reaches that share deterministically instead of racing
+	// memcpy against the submit loop.
+	release := make(chan struct{})
+	ropts.Chaos = &realtime.ChaosHooks{
+		BeforeChunkCopy: func(idx uint32, off, end int) {
+			if end-off > 1<<10 {
+				<-release
+			}
+		},
+	}
 	var d *memif.RealtimeDevice = memif.OpenRealtime(ropts)
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
 
 	payload := make([]byte, 1<<10)
 	submit := func(class memif.RealtimeClass, src, dst []byte) (*memif.RealtimeRequest, error) {
@@ -338,10 +357,10 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 
 	// Burst scavenger submissions past the class's occupancy share
 	// (50% of 8 slots = 4 in flight). The payloads are large (512 KiB,
-	// above the inline-copy threshold) so each accepted request holds
-	// its slot for a memcpy-bound service time while the submit loop
-	// runs in microseconds — occupancy crosses the limit and admission
-	// sheds with the typed overload error.
+	// above the inline-copy threshold) and their copies are held, so
+	// each accepted request keeps its slot in flight — occupancy
+	// crosses the limit and admission sheds with the typed overload
+	// error.
 	const big = 512 << 10
 	bigSrc := make([]byte, big)
 	var overErr error
@@ -368,8 +387,9 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 		t.Errorf("overload error = %+v, want scavenger class and positive retry-after", oe)
 	}
 
-	// Drain what was accepted, then check the per-class stats and the
-	// Prometheus exports.
+	// Release the held copies, drain what was accepted, then check the
+	// per-class stats and the Prometheus exports.
+	close(release)
 	for range held {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		memif.RealtimePollContext(ctx, d)
@@ -404,12 +424,17 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	h := memif.NewObsHandler()
 	var _ *memif.ObsHandler = h
 
-	// Lifecycle exports: captured lifecycles render as Chrome trace JSON.
+	// Lifecycle exports: the stage spans cover every retrieved request,
+	// and the flight recorder's latency outliers render as Chrome trace
+	// JSON.
 	var lcs memif.LifecycleSnapshot = st.Lifecycle
 	var spans memif.LifecycleSpans = lcs.Spans
-	_ = spans
-	var caps []memif.CapturedLifecycle = lcs.Captured
-	if blob, err := memif.ChromeTraceJSON("api", caps); err != nil {
+	total := spans.Spans[len(spans.Spans)-1] // the last span is submit → retrieved
+	if got, want := total.Count, int64(1+len(held)); got != want {
+		t.Errorf("total stage span count = %d, want %d retrieved requests", got, want)
+	}
+	var outliers []memif.FlightOutlier = st.Flight.Outliers
+	if blob, err := memif.ChromeTraceJSON("api", outliers); err != nil {
 		t.Errorf("ChromeTraceJSON: %v", err)
 	} else if !strings.Contains(string(blob), "traceEvents") {
 		t.Error("Chrome trace JSON missing traceEvents")
